@@ -1,9 +1,10 @@
 """Classical wave packets on the light cone.
 
-A packet stores complex analytic E amplitudes per direction channel s;
-the magnetic amplitude is never stored because a traveling wave fixes
-B(chi) = s*E(chi)/c, which makes the E/B ratio frame-invariant by
-construction.  Propagation is exact relabeling along chi = x - s*c*t.
+A packet is a `Field` that stores complex analytic E amplitudes in its
+(s, "H") channels; the magnetic amplitude is never stored because a
+traveling wave fixes B(chi) = s*E(chi)/c, which makes the E/B ratio
+frame-invariant by construction.  Propagation is exact relabeling along
+chi = x - s*c*t (`grid.evaluate_at`).
 """
 
 from __future__ import annotations
@@ -13,76 +14,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .grid import (Axis, Representation, SampledFunction, eval_points, norm,
-                   resample)
-from .kinematics import BoostParams, kappa, xi
+from .grid import Axis, Field, SampledFunction, resample
+from .kinematics import BoostParams, xi
 
 __all__ = [
-    "ClassicalWavePacket",
     "WorldlineBox",
     "SpectrumResult",
-    "evaluate_at",
     "boost_packet",
     "box_energy",
     "total_energy",
     "transform_density",
     "spectrum",
     "doppler_shift_wavenumber",
-    "spectral_transform_check",
 ]
 
 EDGE_DECAY_FRACTION = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalWavePacket:
-    """Electric amplitude per direction channel; B is derived, not stored."""
-
-    channels: dict  # s -> SampledFunction[POSITION_CHI], pol fixed to H
-    c: float = 1.0
-    area: float = 1.0
-    epsilon: float = 1.0
-
-    def __post_init__(self):
-        if self.c <= 0 or self.area <= 0 or self.epsilon <= 0:
-            raise ValueError("c, area and epsilon must be positive")
-        for s, f in self.channels.items():
-            if s not in (+1, -1) or f.s != s:
-                raise ValueError(f"channel key {s!r} does not match function tag")
-            if f.representation is not Representation.POSITION_CHI:
-                raise ValueError("packet channels must be position-chi functions")
-
-    def channel(self, s: int) -> SampledFunction:
-        if s not in self.channels:
-            raise KeyError(f"packet has no s={s} channel")
-        return self.channels[s]
-
-
 @dataclass(frozen=True)
 class WorldlineBox:
-    """A chi interval with its world-line density and transverse geometry."""
+    """A chi interval with its world-line density."""
 
     a1: float
     a2: float
     h: float = 1.0
-    area: float = 1.0
-    epsilon: float = 1.0
 
     def __post_init__(self):
         if not self.a2 > self.a1:
             raise ValueError("box requires a2 > a1")
-        if self.h <= 0 or self.area <= 0 or self.epsilon <= 0:
-            raise ValueError("h, area and epsilon must be positive")
-
-
-def evaluate_at(packet: ClassicalWavePacket, x: float, t: float, s: int) -> complex:
-    """E amplitude at (x, t): exact relabeling E(x - s*c*t)."""
-    f = packet.channel(s)
-    chi = x - s * packet.c * t
-    pts = f.axis.points()
-    if chi < pts[0] or chi > pts[-1]:
-        raise ValueError(f"chi = {chi} outside the sampled grid")
-    return complex(eval_points(f, np.array([chi]))[0])
+        if self.h <= 0:
+            raise ValueError("h must be positive")
 
 
 def _edge_decay_ok(f: SampledFunction) -> bool:
@@ -93,47 +54,44 @@ def _edge_decay_ok(f: SampledFunction) -> bool:
     return edge <= EDGE_DECAY_FRACTION * peak
 
 
-def boost_packet(packet: ClassicalWavePacket, boost: BoostParams,
-                 target: Axis) -> ClassicalWavePacket:
+def boost_packet(packet: Field, boost: BoostParams, target: Axis) -> Field:
     """Transform every channel into the boosted frame.
 
     Per channel: E_B(chi_B) = xi * E_A(chi_B / kappa), realized as a
     band-limited resample with scale 1/kappa = xi and amplitude xi.  B
     transforms with the same factor automatically since it is derived.
     """
-    out = {}
-    for s, f in packet.channels.items():
-        out[s] = resample(f, scale=xi(s, boost), amplitude_factor=xi(s, boost),
-                          target=target)
-    return ClassicalWavePacket(channels=out, c=packet.c, area=packet.area,
-                               epsilon=packet.epsilon)
+    return packet.map(lambda f: resample(f, scale=xi(f.s, boost),
+                                         amplitude_factor=xi(f.s, boost),
+                                         target=target))
 
 
-def box_energy(packet: ClassicalWavePacket, box: WorldlineBox) -> float:
-    """Energy in a chi box: (A*eps / 2h) * int [|E|^2 + c^2 |B|^2] dchi.
+def box_energy(packet: Field, box: WorldlineBox) -> float:
+    """Energy in a chi box: (A*eps / 2h) * int [|E|^2 + c^2 |B|^2] dchi,
+    with A and eps the packet's constants.
 
     With B = s*E/c the bracket is exactly 2|E|^2.  Summed over channels.
     """
     total = 0.0
-    for s, f in packet.channels.items():
+    for f in packet.channels.values():
         pts = f.axis.points()
         if box.a1 < pts[0] or box.a2 > pts[-1]:
             raise ValueError("box extends outside the sampled grid")
         mask = (pts >= box.a1) & (pts <= box.a2)
         total += f.axis.step * 2.0 * float(np.sum(np.abs(f.values[mask]) ** 2))
-    return box.area * box.epsilon / (2.0 * box.h) * total
+    return packet.constants.area * packet.constants.epsilon / (2.0 * box.h) * total
 
 
-def total_energy(packet: ClassicalWavePacket, warn=None) -> float:
+def total_energy(packet: Field, warn=None) -> float:
     """Whole-grid energy (A*eps/2) * int [|E|^2 + c^2|B|^2] dchi, no density
     factor.  Calls `warn(s)` for channels violating the edge-decay policy.
     """
     total = 0.0
-    for s, f in packet.channels.items():
+    for f in packet.channels.values():
         if warn is not None and not _edge_decay_ok(f):
-            warn(s)
+            warn(f.s)
         total += f.axis.step * 2.0 * float(np.sum(np.abs(f.values) ** 2))
-    return packet.area * packet.epsilon / 2.0 * total
+    return packet.constants.area * packet.constants.epsilon / 2.0 * total
 
 
 def transform_density(h_A: float, s: int, boost: BoostParams) -> float:
@@ -149,7 +107,7 @@ class SpectrumResult:
     centroid: float | None  # |E~|^2-weighted mean k; None for a zero field
 
 
-def spectrum(packet: ClassicalWavePacket, s: int) -> SpectrumResult:
+def spectrum(packet: Field, s: int) -> SpectrumResult:
     """Momentum representation of the E channel plus its centroid."""
     ft = spectral.to_momentum(packet.channel(s))
     weights = np.abs(ft.values) ** 2
@@ -166,23 +124,3 @@ def doppler_shift_wavenumber(k_A: float, s: int, boost: BoostParams) -> float:
         raise ValueError("k_A must be finite")
     return xi(s, boost) * k_A
 
-
-@dataclass(frozen=True)
-class SpectralCheckReport:
-    rel_l2_discrepancy: float
-    leakage: float
-
-
-def spectral_transform_check(packet: ClassicalWavePacket, boost: BoostParams,
-                             s: int, target: Axis) -> SpectralCheckReport:
-    """Witness that boosting in chi matches the spectral rescaling law
-    E~_B(k_B) = E~_A(kappa * k_B), by computing both sides independently.
-    """
-    lhs = spectrum(boost_packet(packet, boost, target), s).momentum
-    rhs = resample(spectrum(packet, s).momentum, scale=kappa(s, boost),
-                   amplitude_factor=1.0, target=lhs.axis)
-    ref = norm(lhs)
-    num = float(np.sqrt(lhs.axis.step) * np.linalg.norm(lhs.values - rhs.values))
-    disc = num / ref if ref > 0 else num
-    return SpectralCheckReport(rel_l2_discrepancy=disc,
-                               leakage=max(lhs.leakage, rhs.leakage))

@@ -11,8 +11,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .grid import Representation
-from .quantum_blip import FieldConstants, RegularisationKernel
+from .quantum_blip import RegularisationKernel
 from .scenario import ConfigError, load_config, run_scenario
 
 
@@ -78,9 +77,7 @@ def _cmd_export_kernel(args) -> int:
     except (FileNotFoundError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    constants = FieldConstants(c=config.c, hbar=config.hbar,
-                               epsilon=config.epsilon, area=config.area)
-    kernel = RegularisationKernel(config.grid.conjugate(), constants)
+    kernel = RegularisationKernel(config.grid.conjugate(), config.constants)
     out = Path(args.output) if args.output else Path(config.output_dir) / "kernel.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     kernel.export_csv(out)

@@ -1,8 +1,10 @@
-"""Uniform sampled complex functions on a chi or k axis.
+"""Uniform sampled complex functions on a chi or k axis, and fields of them.
 
 Provides the midpoint-rule inner product, L2 distance, band-limited
 resampling under coordinate rescaling (the discrete realization of
-substitutions like chi' -> scale*chi'), and CSV serialization.
+substitutions like chi' -> scale*chi'), CSV serialization, and the
+`Field` container that holds one sampled function per (s, pol) channel
+for both classical packets and one-photon blip states.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.signal import czt
 
 __all__ = [
     "Representation",
     "Axis",
     "SampledFunction",
+    "FieldConstants",
+    "Field",
+    "evaluate_at",
     "inner_product",
     "norm",
     "l2_distance",
@@ -102,6 +106,47 @@ class SampledFunction:
         return replace(self, values=values, **changes)
 
 
+@dataclass(frozen=True)
+class FieldConstants:
+    """Physical constants; the model leaves units open, so all default to 1."""
+
+    c: float = 1.0
+    hbar: float = 1.0
+    epsilon: float = 1.0
+    area: float = 1.0
+
+    def __post_init__(self):
+        if min(self.c, self.hbar, self.epsilon, self.area) <= 0:
+            raise ValueError("physical constants must be positive")
+
+
+@dataclass(frozen=True, eq=False)
+class Field:
+    """One sampled function per (s, pol) channel, all in one representation.
+
+    A classical packet holds its E amplitude in (s, "H") channels; a blip
+    state holds one-photon amplitudes in either representation.
+    """
+
+    channels: dict  # (s, pol) -> SampledFunction
+    constants: FieldConstants = FieldConstants()
+
+    def __post_init__(self):
+        for (s, pol), f in self.channels.items():
+            if (f.s, f.pol) != (s, pol):
+                raise ValueError(f"channel key {(s, pol)} does not match tags")
+        if len({f.representation for f in self.channels.values()}) > 1:
+            raise ValueError("field channels mix representations")
+
+    def channel(self, s: int, pol: str = "H") -> SampledFunction:
+        return self.channels[(s, pol)]
+
+    def map(self, fn) -> "Field":
+        """The field with `fn` applied to every channel."""
+        return Field(channels={key: fn(f) for key, f in self.channels.items()},
+                     constants=self.constants)
+
+
 def _check_compatible(f: SampledFunction, g: SampledFunction) -> None:
     if f.axis != g.axis:
         raise ValueError("mismatched axes")
@@ -159,6 +204,16 @@ def eval_points(f: SampledFunction, x: np.ndarray) -> np.ndarray:
     return phase @ coeff / n
 
 
+def evaluate_at(field: Field, x: float, t: float, s: int, pol: str = "H") -> complex:
+    """Channel amplitude at (x, t): exact relabeling f(x - s*c*t)."""
+    f = field.channel(s, pol)
+    chi = x - s * field.constants.c * t
+    pts = f.axis.points()
+    if chi < pts[0] or chi > pts[-1]:
+        raise ValueError(f"chi = {chi} outside the sampled grid")
+    return complex(eval_points(f, np.array([chi]))[0])
+
+
 def _leakage_fraction(f: SampledFunction, scale: float, target: Axis) -> float:
     """Fraction of spectral energy mapped above the target Nyquist band."""
     spec = np.abs(np.fft.fftshift(np.fft.fft(f.values))) ** 2
@@ -178,14 +233,12 @@ def resample(
     scale: float,
     amplitude_factor: float,
     target: Axis,
-    method: str = "band-limited",
 ) -> SampledFunction:
     """Return g on `target` with g(x) = amplitude_factor * f(x * scale).
 
-    `method` is "band-limited" (trigonometric interpolation, default) or
-    "cubic".  A leakage diagnostic is attached to the result when more
-    than LEAKAGE_THRESHOLD of the spectral energy falls above the target
-    grid's representable band.
+    Uses trigonometric (band-limited) interpolation.  A leakage diagnostic
+    is attached to the result when more than LEAKAGE_THRESHOLD of the
+    spectral energy falls above the target grid's representable band.
     """
     if scale == 0.0:
         raise ValueError("scale must be nonzero")
@@ -194,23 +247,15 @@ def resample(
     # Queries outside the sampled span see the interpolant's periodic
     # image; a properly decayed function is zero there instead.
     inside = (x >= pts[0]) & (x <= pts[-1])
-    if method == "band-limited":
-        if scale > 0:
-            query = Axis(start=target.start * scale,
-                         step=target.step * scale, count=target.count)
-            out = trig_interpolate(f, query)
-        else:
-            rev = Axis(start=(target.start + (target.count - 1) * target.step) * scale,
-                       step=-target.step * scale, count=target.count)
-            out = trig_interpolate(f, rev)[::-1]
-        out[~inside] = 0.0
-    elif method == "cubic":
-        spline_re = CubicSpline(pts, f.values.real)
-        spline_im = CubicSpline(pts, f.values.imag)
-        out = np.zeros(target.count, dtype=complex)
-        out[inside] = spline_re(x[inside]) + 1j * spline_im(x[inside])
+    if scale > 0:
+        query = Axis(start=target.start * scale,
+                     step=target.step * scale, count=target.count)
+        out = trig_interpolate(f, query)
     else:
-        raise ValueError(f"unknown interpolation method {method!r}")
+        rev = Axis(start=(target.start + (target.count - 1) * target.step) * scale,
+                   step=-target.step * scale, count=target.count)
+        out = trig_interpolate(f, rev)[::-1]
+    out[~inside] = 0.0
     leak = _leakage_fraction(f, scale, target)
     leak = leak if leak > LEAKAGE_THRESHOLD else 0.0
     return SampledFunction(
@@ -225,13 +270,9 @@ def resample(
 
 def write_csv(f: SampledFunction, path) -> None:
     """Write `coordinate,re,im` rows, coordinates ascending, 17 sig digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coordinate", "re", "im"])
-        for x, v in zip(f.axis.points(), f.values):
-            writer.writerow([format(x, ".17g"),
-                             format(v.real, ".17g"),
-                             format(v.imag, ".17g")])
+    np.savetxt(path, np.column_stack([f.axis.points(), f.values.real, f.values.imag]),
+               fmt="%.17g", delimiter=",", header="coordinate,re,im",
+               comments="", newline="\r\n")
 
 
 def read_csv(path, representation: Representation, s: int,

@@ -11,7 +11,6 @@ oracle that pins the multiplier's sign and magnitude.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -19,15 +18,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import spectral
-from .grid import Axis, Representation, SampledFunction, norm, resample
+from .grid import (Axis, Field, FieldConstants, SampledFunction, l2_distance, norm,
+                   resample)
 from .kinematics import BoostParams, kappa, xi
 
 __all__ = [
-    "FieldConstants",
-    "BlipState",
-    "MomentumBlipState",
     "RegularisationKernel",
-    "propagate_blip",
     "boost_blip",
     "photon_number",
     "to_momentum_state",
@@ -40,115 +36,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FieldConstants:
-    """Physical constants; the model leaves units open, so all default to 1."""
-
-    c: float = 1.0
-    hbar: float = 1.0
-    epsilon: float = 1.0
-    area: float = 1.0
-
-    def __post_init__(self):
-        if min(self.c, self.hbar, self.epsilon, self.area) <= 0:
-            raise ValueError("physical constants must be positive")
+def _photon_rescale(f: SampledFunction, scale: float, target: Axis) -> SampledFunction:
+    """g(x) = sqrt(scale) * f(scale * x): the norm-keeping one-photon rule."""
+    return resample(f, scale=scale, amplitude_factor=math.sqrt(scale),
+                    target=target)
 
 
-@dataclass(frozen=True, eq=False)
-class BlipState:
-    """Amplitude function per (s, pol) channel in the chi representation."""
-
-    channels: dict  # (s, pol) -> SampledFunction[POSITION_CHI]
-    constants: FieldConstants = FieldConstants()
-
-    def __post_init__(self):
-        for (s, pol), f in self.channels.items():
-            if (f.s, f.pol) != (s, pol):
-                raise ValueError(f"channel key {(s, pol)} does not match tags")
-            if f.representation is not Representation.POSITION_CHI:
-                raise ValueError("blip channels must be position-chi functions")
-
-    def channel(self, s: int, pol: str = "H") -> SampledFunction:
-        return self.channels[(s, pol)]
-
-
-@dataclass(frozen=True, eq=False)
-class MomentumBlipState:
-    """The same state with every channel in the k representation."""
-
-    channels: dict  # (s, pol) -> SampledFunction[MOMENTUM_K]
-    constants: FieldConstants = FieldConstants()
-
-    def channel(self, s: int, pol: str = "H") -> SampledFunction:
-        return self.channels[(s, pol)]
-
-
-def propagate_blip(state: BlipState, t: float):
-    """Return an evaluation map (x, s, pol) -> amplitude at time t.
-
-    The state itself is time-invariant in chi; propagation is the exact
-    relabeling psi(x - s*c*t).
-    """
-    c = state.constants.c
-
-    def amplitude(x: float, s: int, pol: str = "H") -> complex:
-        f = state.channel(s, pol)
-        chi = x - s * c * t
-        pts = f.axis.points()
-        if chi < pts[0] or chi > pts[-1]:
-            raise ValueError(f"chi = {chi} outside the sampled grid")
-        from .grid import eval_points
-        return complex(eval_points(f, np.array([chi]))[0])
-
-    return amplitude
-
-
-def boost_blip(state: BlipState, boost: BoostParams, target: Axis) -> BlipState:
+def boost_blip(state: Field, boost: BoostParams, target: Axis) -> Field:
     """psi_B(chi_B) = sqrt(xi) * psi_A(xi * chi_B), channel by channel.
 
     The sqrt(xi) amplitude keeps the squared norm, hence the photon
     number, invariant.
     """
-    out = {}
-    for (s, pol), f in state.channels.items():
-        sc = xi(s, boost)
-        out[(s, pol)] = resample(f, scale=sc, amplitude_factor=math.sqrt(sc),
-                                 target=target)
-    return BlipState(channels=out, constants=state.constants)
+    return state.map(lambda f: _photon_rescale(f, xi(f.s, boost), target))
 
 
-def photon_number(state) -> float:
+def photon_number(state: Field) -> float:
     """Sum over channels of int |psi|^2; works for both representations."""
     return float(sum(norm(f) ** 2 for f in state.channels.values()))
 
 
-def to_momentum_state(state: BlipState) -> MomentumBlipState:
-    return MomentumBlipState(
-        channels={key: spectral.to_momentum(f)
-                  for key, f in state.channels.items()},
-        constants=state.constants)
+def to_momentum_state(state: Field) -> Field:
+    return state.map(spectral.to_momentum)
 
 
-def to_position_state(mstate: MomentumBlipState,
-                      target: Axis | None = None) -> BlipState:
-    return BlipState(
-        channels={key: spectral.to_position(f, target)
-                  for key, f in mstate.channels.items()},
-        constants=mstate.constants)
+def to_position_state(mstate: Field, target: Axis | None = None) -> Field:
+    return mstate.map(lambda f: spectral.to_position(f, target))
 
 
-def boost_momentum_state(mstate: MomentumBlipState, boost: BoostParams,
-                         target: Axis) -> MomentumBlipState:
+def boost_momentum_state(mstate: Field, boost: BoostParams, target: Axis) -> Field:
     """psi~_B(k_B) = sqrt(kappa) * psi~_A(kappa * k_B), channel by channel."""
-    out = {}
-    for (s, pol), f in mstate.channels.items():
-        sc = kappa(s, boost)
-        out[(s, pol)] = resample(f, scale=sc, amplitude_factor=math.sqrt(sc),
-                                 target=target)
-    return MomentumBlipState(channels=out, constants=mstate.constants)
+    return mstate.map(lambda f: _photon_rescale(f, kappa(f.s, boost), target))
 
 
-def mode_occupation(mstate: MomentumBlipState, k_lo: float, k_hi: float) -> float:
+def mode_occupation(mstate: Field, k_lo: float, k_hi: float) -> float:
     """int over [k_lo, k_hi] of |psi~(k)|^2 dk, summed over channels."""
     if not k_hi > k_lo:
         raise ValueError("empty wavenumber window")
@@ -187,15 +108,13 @@ class RegularisationKernel:
 
     def export_csv(self, path) -> None:
         """Write `k,m_re,m_im` rows for audit."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "m_re", "m_im"])
-            for k, m in zip(self.k_axis.points(), self.multiplier):
-                writer.writerow([format(k, ".17g"), format(m, ".17g"),
-                                 format(0.0, ".17g")])
+        np.savetxt(path, np.column_stack([self.k_axis.points(), self.multiplier,
+                                          np.zeros(self.k_axis.count)]),
+                   fmt="%.17g", delimiter=",", header="k,m_re,m_im",
+                   comments="", newline="\r\n")
 
 
-def field_matrix_element(state: BlipState, s: int,
+def field_matrix_element(state: Field, s: int,
                          kernel: RegularisationKernel | None = None) -> SampledFunction:
     """Vacuum-to-one-photon matrix element of the electric field for the
     H channel with direction s: int c * R(chi - chi') * psi(chi') dchi',
@@ -219,20 +138,22 @@ class KernelCheckReport:
     leakage: float
 
 
-def kernel_consistency_check(state: BlipState, boost: BoostParams,
-                             s: int, target: Axis) -> KernelCheckReport:
-    """Check that the field matrix element of a boosted state matches the
-    classical-field transformation xi * E_A(xi * chi_B) of the unboosted
-    matrix element.  Both sides are computed by independent code paths;
+def kernel_consistency_check(me_A: SampledFunction, boosted: Field,
+                             boost: BoostParams) -> KernelCheckReport:
+    """Check that the field matrix element of the boosted state `boosted`
+    matches the classical-field transformation xi * E_A(xi * chi_B) of
+    `me_A`, the matrix element `field_matrix_element(state, s)` of the
+    unboosted state.  Both sides are computed by independent code paths;
     agreement witnesses the |u|^{-3/2} kernel homogeneity R(kappa*u) =
     kappa^{-3/2} R(u).
     """
-    lhs = field_matrix_element(boost_blip(state, boost, target), s)
-    me_A = field_matrix_element(state, s)
+    s = me_A.s
+    # rhs first, so that its chirp-z temporaries do not coexist with lhs.
     rhs = resample(me_A, scale=xi(s, boost), amplitude_factor=xi(s, boost),
-                   target=target)
+                   target=boosted.channel(s, "H").axis)
+    lhs = field_matrix_element(boosted, s)
     ref = norm(lhs)
-    num = float(np.sqrt(target.step) * np.linalg.norm(lhs.values - rhs.values))
+    num = l2_distance(lhs, rhs)
     disc = num / ref if ref > 0 else num
     return KernelCheckReport(rel_l2_discrepancy=disc,
                              leakage=max(lhs.leakage, rhs.leakage))

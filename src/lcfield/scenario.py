@@ -4,6 +4,9 @@ Reads a declarative scenario config (flat `dotted.key = value` text),
 builds the requested packet/state, applies each boost, executes the named
 invariant checks, and writes a deterministic JSON report plus CSV sample
 dumps into the scenario's output directory.
+
+Each boost's packet and blip state are built once and shared by the
+checks; a per-boost check keeps its worst record over the boosts.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,8 @@ import numpy as np
 from . import classical_field as cf
 from . import quantum_blip as qb
 from . import spectral
-from .grid import Axis, Representation, SampledFunction, l2_distance, read_csv, write_csv
+from .grid import (Axis, Field, FieldConstants, Representation, SampledFunction,
+                   l2_distance, read_csv, write_csv)
 from .kinematics import kappa, make_boost, simulate_signal_exchange, xi
 
 __all__ = [
@@ -33,18 +38,6 @@ __all__ = [
     "ALL_CHECKS",
 ]
 
-ALL_CHECKS = (
-    "doppler_centroid",
-    "box_energy_conservation",
-    "naive_energy_ratio",
-    "photon_number_conservation",
-    "momentum_path_commutativity",
-    "kernel_consistency",
-    "parseval",
-    "signal_exchange",
-    "reciprocity",
-)
-
 DEFAULT_TOLERANCES = {
     "doppler_centroid": 1e-3,
     "box_energy_conservation": 1e-6,
@@ -56,6 +49,7 @@ DEFAULT_TOLERANCES = {
     "signal_exchange": 1e-12,
     "reciprocity": 1e-12,
 }
+ALL_CHECKS = tuple(DEFAULT_TOLERANCES)
 
 
 class ConfigError(Exception):
@@ -69,10 +63,7 @@ class ConfigError(Exception):
 @dataclass
 class ScenarioConfig:
     grid: Axis
-    c: float = 1.0
-    hbar: float = 1.0
-    epsilon: float = 1.0
-    area: float = 1.0
+    constants: FieldConstants = FieldConstants()
     h_density: float = 1.0
     state_kind: str = "gaussian"
     state_center: float = 0.0
@@ -230,14 +221,18 @@ def load_config(path) -> ScenarioConfig:
             name = key.split(".", 1)[1]
             if name not in ALL_CHECKS:
                 problems.append(f"{key}: unknown check")
+                continue
+            tol = raw.pop(key)
+            if isinstance(tol, str) or not 0 <= tol < math.inf:
+                problems.append(f"{key}: must be a finite number >= 0, got {tol!r}")
             else:
-                tolerances[name] = float(raw.pop(key))
+                tolerances[name] = float(tol)
     if raw:
         problems.extend(f"{key}: unknown key" for key in sorted(raw))
     if problems:
         raise ConfigError(problems)
     return ScenarioConfig(
-        grid=grid, c=c, hbar=hbar, epsilon=epsilon, area=area,
+        grid=grid, constants=FieldConstants(c=c, hbar=hbar, epsilon=epsilon, area=area),
         h_density=h_density, state_kind=kind, state_center=center,
         state_width=width, state_carrier_k=carrier_k,
         state_amplitude=amplitude, state_s=s_flag, state_pol=pol,
@@ -268,20 +263,15 @@ def _build_amplitude(config: ScenarioConfig, config_dir: Path) -> SampledFunctio
                            s=config.state_s, pol=config.state_pol)
 
 
-def _scaled_axis(axis: Axis, factor: float) -> Axis:
-    """The axis stretched about chi = 0 by `factor` (> 0 for any boost)."""
-    return Axis(start=axis.start * factor, step=axis.step * factor,
-                count=axis.count)
-
-
-def _record(name, expected, measured, tolerance, diagnostics=None,
-            relative=True) -> CheckRecord:
+def _record(name, expected, measured, tolerance, diagnostics=None) -> CheckRecord:
+    """rel_error is the absolute error when `expected` is 0, so a check of a
+    quantity that should vanish gates on its absolute error.
+    """
     abs_error = abs(measured - expected)
     rel_error = abs_error / abs(expected) if expected != 0 else abs_error
-    err = rel_error if relative else abs_error
     return CheckRecord(name=name, expected=expected, measured=measured,
                        abs_error=abs_error, rel_error=rel_error,
-                       tolerance=tolerance, passed=bool(err <= tolerance),
+                       tolerance=tolerance, passed=bool(rel_error <= tolerance),
                        diagnostics=diagnostics or {})
 
 
@@ -292,6 +282,52 @@ def _errored(name, tolerance, message) -> CheckRecord:
                        diagnostics={"error": message})
 
 
+class _Source:
+    """A scenario's unboosted packet and blip state, and a memo for the
+    boost-independent quantities the checks derive from them.
+    """
+
+    def __init__(self, config: ScenarioConfig, amp: SampledFunction, boosts):
+        self.config = config
+        self.boosts = boosts
+        self.s = s = config.state_s
+        constants = config.constants
+        self.packet = Field(channels={(s, "H"): amp.with_values(amp.values, pol="H")},
+                            constants=constants)
+        nrm = math.sqrt(qb.photon_number(
+            Field(channels={(s, config.state_pol): amp}, constants=constants)))
+        blip_amp = amp.with_values(amp.values / nrm) if nrm > 0 else amp
+        self.state = Field(channels={(s, config.state_pol): blip_amp},
+                           constants=constants)
+        self._memo = {}
+
+    def once(self, key: str, compute):
+        """`compute()`, evaluated on the first call with `key` only."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+
+class _Boosted:
+    """One boost's packet and blip state, each built on first use on the
+    source grid stretched about chi = 0 by kappa.
+    """
+
+    def __init__(self, src: _Source, boost):
+        self.src = src
+        self.boost = boost
+        grid, kap = src.config.grid, kappa(src.s, boost)
+        self.target = Axis(start=grid.start * kap, step=grid.step * kap, count=grid.count)
+
+    @cached_property
+    def packet(self) -> Field:
+        return cf.boost_packet(self.src.packet, self.boost, self.target)
+
+    @cached_property
+    def state(self) -> Field:
+        return qb.boost_blip(self.src.state, self.boost, self.target)
+
+
 def run_scenario(config: ScenarioConfig, config_dir: Path | None = None) -> ScenarioReport:
     """Execute every requested check and persist the report and CSV dumps."""
     config_dir = Path(config_dir) if config_dir is not None else Path(".")
@@ -300,158 +336,130 @@ def run_scenario(config: ScenarioConfig, config_dir: Path | None = None) -> Scen
         out_dir = config_dir / out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    constants = qb.FieldConstants(c=config.c, hbar=config.hbar,
-                                  epsilon=config.epsilon, area=config.area)
-    checks: list[CheckRecord] = []
-    s = config.state_s
     boosts = [make_boost(b) for b in config.boosts] or [make_boost(0.0)]
-
     try:
         amp = _build_amplitude(config, config_dir)
         write_csv(amp, out_dir / "state_input.csv")
     except Exception as exc:
-        for name in config.checks:
-            checks.append(_errored(name, config.tolerance(name), str(exc)))
+        checks = [_errored(name, config.tolerance(name), str(exc))
+                  for name in config.checks]
         return _finalize(config, checks, out_dir)
 
-    packet = cf.ClassicalWavePacket(channels={s: amp.with_values(amp.values, pol="H", s=s)},
-                                    c=config.c, area=config.area,
-                                    epsilon=config.epsilon)
-    nrm = math.sqrt(qb.photon_number(
-        qb.BlipState(channels={(s, config.state_pol): amp}, constants=constants)))
-    blip_amp = amp.with_values(amp.values / nrm) if nrm > 0 else amp
-    state = qb.BlipState(channels={(s, config.state_pol): blip_amp},
-                         constants=constants)
-
-    for name in config.checks:
-        tol = config.tolerance(name)
-        try:
-            checks.append(_run_check(name, config, packet, state, boosts,
-                                     s, tol, out_dir))
-        except Exception as exc:
-            checks.append(_errored(name, tol, str(exc)))
-    return _finalize(config, checks, out_dir)
-
-
-def _run_check(name, config, packet, state, boosts, s, tol, out_dir) -> CheckRecord:
-    if name == "reciprocity":
-        rng = np.random.default_rng(0)
-        worst = 0.0
-        for beta in rng.uniform(-0.99, 0.99, size=1000):
-            b = make_boost(beta)
-            inv = make_boost(-beta)
-            for sd in (+1, -1):
-                worst = max(worst,
-                            abs(xi(sd, b) * xi(sd, inv) - 1.0),
-                            abs(kappa(sd, b) * kappa(sd, inv) - 1.0),
-                            abs(kappa(sd, b) * xi(sd, b) - 1.0))
-        return _record(name, 0.0, worst, tol, relative=False)
-
-    if name == "signal_exchange":
-        worst = 0.0
-        for boost in boosts:
-            if boost.beta <= -1.0 + 1e-15:
+    src = _Source(config, amp, boosts)
+    del amp  # src holds its own copies of the samples
+    worst = {}  # check name -> its worst record so far, or its error
+    for boost in boosts:
+        boosted = _Boosted(src, boost)
+        for name in config.checks:
+            done = worst.get(name)
+            if done is not None and (done.errored or name in _ONCE_CHECKS):
                 continue
-            rec = simulate_signal_exchange(boost, t_emit_A=1.0, c=config.c)
-            worst = max(worst, abs(rec.kappa_measured - kappa(+1, boost)))
-        return _record(name, 0.0, worst, tol, relative=False)
+            tol = config.tolerance(name)
+            try:
+                rec = _run_check(name, src, boosted, tol)
+            except Exception as exc:
+                rec = _errored(name, tol, str(exc))
+            if done is None or rec.errored or rec.rel_error > done.rel_error:
+                worst[name] = rec
+    return _finalize(config, [worst[name] for name in config.checks], out_dir)
 
-    if name == "parseval":
-        rep = spectral.parseval_check(packet.channel(s))
-        return _record(name, 0.0, rep.rel_error, tol, relative=False)
 
-    if name == "doppler_centroid":
-        base = cf.spectrum(packet, s)
-        if base.centroid is None or base.centroid == 0.0:
-            raise ValueError("doppler_centroid needs a carrier packet with "
-                             "nonzero spectral centroid")
-        worst_rec = None
-        for boost in boosts:
-            target = _scaled_axis(config.grid, kappa(s, boost))
-            shifted = cf.spectrum(cf.boost_packet(packet, boost, target), s)
-            ratio = shifted.centroid / base.centroid
-            rec = _record(name, xi(s, boost), ratio, tol,
-                          diagnostics={"beta": boost.beta})
-            if worst_rec is None or rec.rel_error > worst_rec.rel_error:
-                worst_rec = rec
-        return worst_rec
+def _reciprocity(src: _Source) -> float:
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for beta in rng.uniform(-0.99, 0.99, size=1000):
+        b = make_boost(beta)
+        inv = make_boost(-beta)
+        for sd in (+1, -1):
+            worst = max(worst,
+                        abs(xi(sd, b) * xi(sd, inv) - 1.0),
+                        abs(kappa(sd, b) * kappa(sd, inv) - 1.0),
+                        abs(kappa(sd, b) * xi(sd, b) - 1.0))
+    return worst
 
-    if name == "box_energy_conservation":
-        width = 6.0 * config.state_width
-        box_a = cf.WorldlineBox(a1=config.state_center - width,
-                                a2=config.state_center + width,
-                                h=config.h_density, area=config.area,
-                                epsilon=config.epsilon)
-        e_a = cf.box_energy(packet, box_a)
-        worst_rec = None
-        for boost in boosts:
-            kap = kappa(s, boost)
-            target = _scaled_axis(config.grid, kap)
-            boosted = cf.boost_packet(packet, boost, target)
-            box_b = cf.WorldlineBox(a1=kap * box_a.a1, a2=kap * box_a.a2,
-                                    h=cf.transform_density(config.h_density, s, boost),
-                                    area=config.area, epsilon=config.epsilon)
-            e_b = cf.box_energy(boosted, box_b)
-            rec = _record(name, e_a, e_b, tol, diagnostics={"beta": boost.beta})
-            if worst_rec is None or rec.rel_error > worst_rec.rel_error:
-                worst_rec = rec
-        return worst_rec
 
-    if name == "naive_energy_ratio":
-        e_a = cf.total_energy(packet)
-        worst_rec = None
-        for boost in boosts:
-            target = _scaled_axis(config.grid, kappa(s, boost))
-            boosted = cf.boost_packet(packet, boost, target)
-            ratio = cf.total_energy(boosted) / e_a
-            rec = _record(name, xi(s, boost), ratio, tol,
-                          diagnostics={"beta": boost.beta})
-            if worst_rec is None or rec.rel_error > worst_rec.rel_error:
-                worst_rec = rec
-        return worst_rec
+def _signal_exchange(src: _Source) -> float:
+    worst = 0.0
+    for boost in src.boosts:
+        if boost.beta <= -1.0 + 1e-15:
+            continue
+        rec = simulate_signal_exchange(boost, t_emit_A=1.0, c=src.config.constants.c)
+        worst = max(worst, abs(rec.kappa_measured - kappa(+1, boost)))
+    return worst
 
-    if name == "photon_number_conservation":
-        n_a = qb.photon_number(state)
-        worst_rec = None
-        for boost in boosts:
-            target = _scaled_axis(config.grid, kappa(s, boost))
-            n_b = qb.photon_number(qb.boost_blip(state, boost, target))
-            rec = _record(name, n_a, n_b, tol, diagnostics={"beta": boost.beta})
-            if worst_rec is None or rec.rel_error > worst_rec.rel_error:
-                worst_rec = rec
-        return worst_rec
 
-    if name == "momentum_path_commutativity":
-        pol = config.state_pol
-        worst_rec = None
-        for boost in boosts:
-            target = _scaled_axis(config.grid, kappa(s, boost))
-            via_chi = qb.to_momentum_state(qb.boost_blip(state, boost, target))
-            via_k = qb.boost_momentum_state(qb.to_momentum_state(state), boost,
-                                            via_chi.channel(s, pol).axis)
-            dist = l2_distance(via_chi.channel(s, pol), via_k.channel(s, pol))
-            rec = _record(name, 0.0, dist, tol, relative=False,
-                          diagnostics={"beta": boost.beta})
-            if worst_rec is None or rec.rel_error > worst_rec.rel_error:
-                worst_rec = rec
-        return worst_rec
+def _parseval(src: _Source) -> float:
+    return spectral.parseval_check(src.packet.channel(src.s)).rel_error
 
-    if name == "kernel_consistency":
-        if config.state_pol != "H":
-            raise ValueError("kernel_consistency needs an H-polarized state")
-        worst_rec = None
-        for boost in boosts:
-            target = _scaled_axis(config.grid, kappa(s, boost))
-            rep = qb.kernel_consistency_check(state, boost, s, target)
-            rec = _record(name, 0.0, rep.rel_l2_discrepancy, tol,
-                          relative=False,
-                          diagnostics={"beta": boost.beta,
-                                       "leakage": rep.leakage})
-            if worst_rec is None or rec.rel_error > worst_rec.rel_error:
-                worst_rec = rec
-        return worst_rec
 
-    raise ValueError(f"unknown check {name!r}")
+def _doppler_centroid(src: _Source, b: _Boosted):
+    base = src.once("centroid", lambda: cf.spectrum(src.packet, src.s).centroid)
+    if base is None or base == 0.0:
+        raise ValueError("doppler_centroid needs a carrier packet with "
+                         "nonzero spectral centroid")
+    return xi(src.s, b.boost), cf.spectrum(b.packet, src.s).centroid / base, {}
+
+
+def _box_energy_conservation(src: _Source, b: _Boosted):
+    cfg, kap = src.config, kappa(src.s, b.boost)
+    width = 6.0 * cfg.state_width
+    box_a = cf.WorldlineBox(a1=cfg.state_center - width, a2=cfg.state_center + width,
+                            h=cfg.h_density)
+    box_b = cf.WorldlineBox(a1=kap * box_a.a1, a2=kap * box_a.a2,
+                            h=cf.transform_density(cfg.h_density, src.s, b.boost))
+    e_a = src.once("box_energy", lambda: cf.box_energy(src.packet, box_a))
+    return e_a, cf.box_energy(b.packet, box_b), {}
+
+
+def _naive_energy_ratio(src: _Source, b: _Boosted):
+    e_a = src.once("total_energy", lambda: cf.total_energy(src.packet))
+    return xi(src.s, b.boost), cf.total_energy(b.packet) / e_a, {}
+
+
+def _photon_number_conservation(src: _Source, b: _Boosted):
+    n_a = src.once("photon_number", lambda: qb.photon_number(src.state))
+    return n_a, qb.photon_number(b.state), {}
+
+
+def _momentum_path_commutativity(src: _Source, b: _Boosted):
+    key = (src.s, src.config.state_pol)
+    via_chi = qb.to_momentum_state(b.state).channel(*key)
+    mom_a = src.once("momentum_state", lambda: qb.to_momentum_state(src.state))
+    via_k = qb.boost_momentum_state(mom_a, b.boost, via_chi.axis).channel(*key)
+    return 0.0, l2_distance(via_chi, via_k), {}
+
+
+def _kernel_consistency(src: _Source, b: _Boosted):
+    if src.config.state_pol != "H":
+        raise ValueError("kernel_consistency needs an H-polarized state")
+    me_a = src.once("matrix_element", lambda: qb.field_matrix_element(src.state, src.s))
+    rep = qb.kernel_consistency_check(me_a, b.state, b.boost)
+    return 0.0, rep.rel_l2_discrepancy, {"leakage": rep.leakage}
+
+
+# Run once per scenario; each returns an error whose expected value is 0.
+_ONCE_CHECKS = {
+    "reciprocity": _reciprocity,
+    "signal_exchange": _signal_exchange,
+    "parseval": _parseval,
+}
+
+# Run per boost; each returns (expected, measured, extra diagnostics).
+_BOOST_CHECKS = {
+    "doppler_centroid": _doppler_centroid,
+    "box_energy_conservation": _box_energy_conservation,
+    "naive_energy_ratio": _naive_energy_ratio,
+    "photon_number_conservation": _photon_number_conservation,
+    "momentum_path_commutativity": _momentum_path_commutativity,
+    "kernel_consistency": _kernel_consistency,
+}
+
+
+def _run_check(name, src: _Source, b: _Boosted, tol) -> CheckRecord:
+    if name in _ONCE_CHECKS:
+        return _record(name, 0.0, _ONCE_CHECKS[name](src), tol)
+    expected, measured, extra = _BOOST_CHECKS[name](src, b)
+    return _record(name, expected, measured, tol, {"beta": b.boost.beta, **extra})
 
 
 def _json_number(x: float) -> str:
@@ -495,9 +503,7 @@ def _finalize(config: ScenarioConfig, checks, out_dir: Path) -> ScenarioReport:
         "config_hash": hashlib.sha256(config.source_text.encode()).hexdigest(),
         "grid": {"start": config.grid.start, "step": config.grid.step,
                  "count": config.grid.count},
-        "constants": {"c": config.c, "hbar": config.hbar,
-                      "epsilon": config.epsilon, "area": config.area,
-                      "h_density": config.h_density},
+        "constants": {**asdict(config.constants), "h_density": config.h_density},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     report = ScenarioReport(meta=meta, checks=checks)

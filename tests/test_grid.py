@@ -176,12 +176,6 @@ class TestResample:
         g = resample(resample(f, 2.0, 1.0, ax), 0.5, 1.0, ax)
         assert np.abs(g.values - f.values).max() < 1e-6
 
-    def test_cubic_method(self):
-        ax = make_axis(n=2048, span=40.0)
-        f = unit_gaussian(ax, width=3.0)
-        g = resample(f, 1.0, 1.0, ax, method="cubic")
-        assert np.abs(g.values - f.values).max() < 1e-8
-
     def test_rejects_zero_scale(self):
         f = unit_gaussian(make_axis())
         with pytest.raises(ValueError):

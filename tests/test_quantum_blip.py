@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from lcfield.grid import Axis, Representation, SampledFunction, l2_distance, norm
+from lcfield.grid import (
+    Axis,
+    Field,
+    FieldConstants,
+    Representation,
+    SampledFunction,
+    evaluate_at,
+    l2_distance,
+)
 from lcfield.kinematics import inverse_boost, kappa, make_boost, xi
 from lcfield.quantum_blip import (
-    BlipState,
-    FieldConstants,
-    MomentumBlipState,
     RegularisationKernel,
     boost_blip,
     boost_momentum_state,
@@ -15,7 +20,6 @@ from lcfield.quantum_blip import (
     kernel_consistency_check,
     mode_occupation,
     photon_number,
-    propagate_blip,
     to_momentum_state,
     to_position_state,
 )
@@ -40,7 +44,7 @@ def unit_gaussian_amp(width=3.0, center=0.0, carrier=0.0, s=1, pol="H",
 
 def unit_state(**kw):
     f = unit_gaussian_amp(**kw)
-    return BlipState(channels={(f.s, f.pol): f})
+    return Field(channels={(f.s, f.pol): f})
 
 
 def scaled_axis(axis, factor):
@@ -51,27 +55,26 @@ def scaled_axis(axis, factor):
 class TestPropagation:
     def test_time_zero(self):
         state = unit_state()
-        amp = propagate_blip(state, 0.0)
         x = AXIS.points()[123]
-        assert amp(x, 1) == pytest.approx(
+        assert evaluate_at(state, x, 0.0, 1) == pytest.approx(
             complex(state.channel(1).values[123]), abs=1e-10)
 
     def test_peak_follows_worldline(self):
         state = unit_state(center=1.0)
-        peak0 = propagate_blip(state, 0.0)(1.0, 1)
+        peak0 = evaluate_at(state, 1.0, 0.0, 1)
         for t in (0.5, 2.0, 7.0):
-            assert propagate_blip(state, t)(1.0 + t, 1) == pytest.approx(
+            assert evaluate_at(state, 1.0 + t, t, 1) == pytest.approx(
                 peak0, abs=1e-10)
 
     def test_norm_time_independent(self):
         state = unit_state()
         n0 = photon_number(state)
-        propagate_blip(state, 123.0)  # representation is t-free
+        evaluate_at(state, 123.0, 123.0, 1)  # representation is t-free
         assert photon_number(state) == n0
 
     def test_out_of_grid(self):
         with pytest.raises(ValueError):
-            propagate_blip(unit_state(), 0.0)(SPAN, 1)
+            evaluate_at(unit_state(), SPAN, 0.0, 1)
 
 
 class TestBoostBlip:
@@ -114,7 +117,7 @@ class TestPhotonNumber:
     def test_vacuum(self):
         zero = SampledFunction(axis=AXIS, values=np.zeros(N),
                                representation=Representation.POSITION_CHI, s=1)
-        assert photon_number(BlipState(channels={(1, "H"): zero})) == 0.0
+        assert photon_number(Field(channels={(1, "H"): zero})) == 0.0
 
     def test_unit_norm(self):
         assert photon_number(unit_state()) == pytest.approx(1.0, abs=1e-8)
@@ -122,7 +125,7 @@ class TestPhotonNumber:
     def test_sums_over_channels(self):
         f = unit_gaussian_amp(s=1, pol="H")
         g = unit_gaussian_amp(s=-1, pol="V", carrier=1.0)
-        state = BlipState(channels={(1, "H"): f, (-1, "V"): g})
+        state = Field(channels={(1, "H"): f, (-1, "V"): g})
         assert photon_number(state) == pytest.approx(2.0, abs=1e-8)
 
 
@@ -137,7 +140,7 @@ class TestMomentumState:
     def test_zero(self):
         zero = SampledFunction(axis=AXIS, values=np.zeros(N),
                                representation=Representation.POSITION_CHI, s=1)
-        mstate = to_momentum_state(BlipState(channels={(1, "H"): zero}))
+        mstate = to_momentum_state(Field(channels={(1, "H"): zero}))
         assert np.all(mstate.channel(1).values == 0)
 
     def test_roundtrip(self):
@@ -260,7 +263,7 @@ class TestFieldMatrixElement:
     def test_zero_state(self):
         zero = SampledFunction(axis=AXIS, values=np.zeros(N),
                                representation=Representation.POSITION_CHI, s=1)
-        me = field_matrix_element(BlipState(channels={(1, "H"): zero}), 1)
+        me = field_matrix_element(Field(channels={(1, "H"): zero}), 1)
         assert np.all(me.values == 0)
 
     def test_sqrt_carrier_scaling(self):
@@ -295,26 +298,30 @@ class TestFieldMatrixElement:
             field_matrix_element(state, 1, kernel=RegularisationKernel(other))
 
 
+def kernel_check(state, boost, target):
+    return kernel_consistency_check(field_matrix_element(state, 1),
+                                    boost_blip(state, boost, target), boost)
+
+
 class TestKernelConsistency:
     def test_identity(self):
         state = unit_state(carrier=2.0)
-        rep = kernel_consistency_check(state, make_boost(0.0), 1, AXIS)
+        rep = kernel_check(state, make_boost(0.0), AXIS)
         assert rep.rel_l2_discrepancy < 1e-10
 
     def test_beta06(self):
         state = unit_state(width=3.0, carrier=2.0)
         boost = make_boost(0.6)
         target = scaled_axis(AXIS, kappa(1, boost))
-        rep = kernel_consistency_check(state, boost, 1, target)
+        rep = kernel_check(state, boost, target)
         assert rep.rel_l2_discrepancy < 1e-3
 
     def test_symmetric_under_frame_swap(self):
         state = unit_state(width=3.0, carrier=2.0)
         boost = make_boost(0.6)
-        fwd = kernel_consistency_check(state, boost, 1,
-                                       scaled_axis(AXIS, kappa(1, boost)))
-        rev = kernel_consistency_check(state, inverse_boost(boost), 1,
-                                       scaled_axis(AXIS, kappa(1, inverse_boost(boost))))
+        fwd = kernel_check(state, boost, scaled_axis(AXIS, kappa(1, boost)))
+        rev = kernel_check(state, inverse_boost(boost),
+                           scaled_axis(AXIS, kappa(1, inverse_boost(boost))))
         assert fwd.rel_l2_discrepancy < 1e-3
         assert rev.rel_l2_discrepancy < 1e-3
 
@@ -328,7 +335,7 @@ class TestKernelConsistency:
         # psi_a(chi) = psi(chi / a) on the stretched grid
         psi_a = resample(state.channel(1), scale=1.0 / a, amplitude_factor=1.0,
                          target=target)
-        me_a = field_matrix_element(BlipState(channels={(1, "H"): psi_a}), 1)
+        me_a = field_matrix_element(Field(channels={(1, "H"): psi_a}), 1)
         me = field_matrix_element(state, 1)
         expected = a ** -0.5 * resample(me, scale=1.0 / a, amplitude_factor=1.0,
                                         target=target).values
@@ -381,7 +388,7 @@ def test_boosted_spikes_stay_orthonormal():
 def test_channels_do_not_mix_under_boost():
     f = unit_gaussian_amp(s=1, pol="H")
     g = unit_gaussian_amp(s=-1, pol="V", carrier=1.0)
-    state = BlipState(channels={(1, "H"): f, (-1, "V"): g})
+    state = Field(channels={(1, "H"): f, (-1, "V"): g})
     boost = make_boost(0.4)
     target = scaled_axis(AXIS, kappa(1, boost))
     boosted = boost_blip(state, boost, target)

@@ -1,11 +1,14 @@
 import json
+import math
+import pathlib
 import re
+import shutil
 
 import numpy as np
 import pytest
 
 from lcfield.cli import main
-from lcfield.grid import Axis
+from lcfield.grid import Axis, FieldConstants
 from lcfield.scenario import (
     ALL_CHECKS,
     ConfigError,
@@ -27,6 +30,36 @@ output_dir = {out}
 """
 
 
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.fixture(scope="module")
+def shipped_run(tmp_path_factory):
+    """check-all over a copy of the shipped configs, so that the tracked
+    reports under scenarios/out stay untouched; returns (exit code, copy).
+    """
+    work = tmp_path_factory.mktemp("scenarios")
+    for cfg in SCENARIOS.glob("*.cfg"):
+        shutil.copy(cfg, work)
+    return main(["check-all", str(work)]), work
+
+
+def assert_reports_close(new, old, where="report"):
+    """Equal structure, strings and flags; numbers within 1e-12."""
+    if isinstance(old, dict):
+        assert new.keys() == old.keys(), where
+        for key in old:
+            assert_reports_close(new[key], old[key], f"{where}.{key}")
+    elif isinstance(old, list):
+        assert len(new) == len(old), where
+        for i, (a, b) in enumerate(zip(new, old)):
+            assert_reports_close(a, b, f"{where}[{i}]")
+    elif isinstance(old, (int, float)) and not isinstance(old, bool):
+        assert math.isclose(new, old, rel_tol=1e-12, abs_tol=1e-12), (where, new, old)
+    else:
+        assert new == old, where
+
+
 def write_cfg(tmp_path, checks=", ".join(ALL_CHECKS), out="out", extra=""):
     path = tmp_path / "scn.cfg"
     path.write_text(SMALL_CFG.format(checks=checks, out=out) + extra)
@@ -40,7 +73,7 @@ class TestLoadConfig:
         assert cfg.state_kind == "gaussian_carrier"
         assert cfg.boosts == [0.6]
         assert cfg.checks == ALL_CHECKS
-        assert cfg.c == 1.0 and cfg.hbar == 1.0
+        assert cfg.constants == FieldConstants()
 
     def test_defaults(self, tmp_path):
         path = tmp_path / "min.cfg"
@@ -206,6 +239,15 @@ class TestCli:
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1e-3"])
+    def test_bad_tolerance_exit_two(self, tmp_path, capsys, value):
+        path = write_cfg(tmp_path, checks="parseval",
+                         extra=f"tolerances.parseval = {value}\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "tolerances.parseval" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_invalid_config_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("grid.start = 0.0\ngrid.step = 1.0\ngrid.count = 3\n")
@@ -246,7 +288,14 @@ class TestCli:
         assert main(["version"]) == 0
         assert capsys.readouterr().out.strip()
 
-    def test_shipped_scenarios_pass(self, capsys):
-        import pathlib
-        scen = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
-        assert main(["check-all", str(scen)]) == 0
+    def test_shipped_scenarios_pass(self, shipped_run):
+        assert shipped_run[0] == 0
+
+    def test_shipped_reports_match_golden(self, shipped_run):
+        golden = sorted(SCENARIOS.glob("out/*/report.json"))
+        assert len(golden) == 4
+        for path in golden:
+            old = json.loads(path.read_text())
+            new = json.loads((shipped_run[1] / path.relative_to(SCENARIOS)).read_text())
+            del old["meta"]["timestamp"], new["meta"]["timestamp"]
+            assert_reports_close(new, old, str(path.relative_to(SCENARIOS)))
