@@ -9,8 +9,8 @@ for both classical packets and one-photon blip states.
 
 from __future__ import annotations
 
-import csv
 import enum
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "l2_distance",
     "resample",
     "trig_interpolate",
-    "eval_points",
     "write_csv",
     "read_csv",
     "LEAKAGE_THRESHOLD",
@@ -171,61 +170,40 @@ def l2_distance(f: SampledFunction, g: SampledFunction) -> float:
     return float(np.sqrt(f.axis.step) * np.linalg.norm(f.values - g.values))
 
 
-def trig_interpolate(f: SampledFunction, query: Axis) -> np.ndarray:
-    """Evaluate the trigonometric (band-limited) interpolant of f on a
-    uniform set of query points.
+def trig_interpolate(f: SampledFunction, query: Axis) -> tuple[np.ndarray, float]:
+    """The trigonometric (band-limited) interpolant of f on the uniform
+    `query` axis, and the fraction of f's spectral energy above the query
+    axis's Nyquist wavenumber pi/query.step (the part it cannot represent).
 
-    Uses a chirp-z transform, O(N log N) regardless of the query spacing.
-    The interpolant is periodic with the source span; queries are expected
-    to stay where the function has decayed.
+    One FFT of f and a chirp-z transform, O(N log N) regardless of the
+    query spacing.  The interpolant is periodic with the source span;
+    queries are expected to stay where the function has decayed.
     """
-    vals = f.values
-    n = f.axis.count
-    if (query.start == f.axis.start and query.step == f.axis.step
-            and query.count == n):
-        return vals.copy()  # queries coincide with the samples
-    u = 2.0 * np.pi / f.axis.span
-    coeff = np.fft.fftshift(np.fft.fft(vals))
-    freqs = np.arange(-(n // 2), n // 2)
-    d = coeff * np.exp(1j * u * freqs * (query.start - f.axis.start))
-    out = czt(d, query.count, w=np.exp(1j * u * query.step), a=1.0)
-    out *= np.exp(-1j * u * (n // 2) * np.arange(query.count) * query.step)
-    return out / n
-
-
-def eval_points(f: SampledFunction, x: np.ndarray) -> np.ndarray:
-    """Band-limited evaluation at arbitrary (not necessarily uniform) points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if query == f.axis:
+        return f.values.copy(), 0.0  # queries coincide with the samples
     n = f.axis.count
     u = 2.0 * np.pi / f.axis.span
     coeff = np.fft.fftshift(np.fft.fft(f.values))
     freqs = np.arange(-(n // 2), n // 2)
-    phase = np.exp(1j * u * np.outer(x - f.axis.start, freqs))
-    return phase @ coeff / n
+    power = np.abs(coeff) ** 2
+    total = power.sum()
+    lost = power[u * np.abs(freqs) > np.pi / query.step].sum()
+    d = coeff * np.exp(1j * u * freqs * (query.start - f.axis.start))
+    out = czt(d, query.count, w=np.exp(1j * u * query.step), a=1.0)
+    out *= np.exp(-1j * u * (n // 2) * np.arange(query.count) * query.step)
+    return out / n, float(lost / total) if total > 0 else 0.0
 
 
 def evaluate_at(field: Field, x: float, t: float, s: int, pol: str = "H") -> complex:
     """Channel amplitude at (x, t): exact relabeling f(x - s*c*t)."""
     f = field.channel(s, pol)
     chi = x - s * field.constants.c * t
-    pts = f.axis.points()
-    if chi < pts[0] or chi > pts[-1]:
+    lo, hi = f.axis.points()[[0, -1]]
+    if chi < lo or chi > hi:
         raise ValueError(f"chi = {chi} outside the sampled grid")
-    return complex(eval_points(f, np.array([chi]))[0])
-
-
-def _leakage_fraction(f: SampledFunction, scale: float, target: Axis) -> float:
-    """Fraction of spectral energy mapped above the target Nyquist band."""
-    spec = np.abs(np.fft.fftshift(np.fft.fft(f.values))) ** 2
-    total = spec.sum()
-    if total == 0.0:
-        return 0.0
-    dk = 2.0 * np.pi / f.axis.span
-    k_src = dk * np.arange(-(f.axis.count // 2), f.axis.count // 2)
-    k_nyq_target = np.pi / target.step
-    # g(x) = f(x*scale): a source component at k lands at k/|scale|.
-    lost = spec[np.abs(k_src) / abs(scale) > k_nyq_target].sum()
-    return float(lost / total)
+    # An axis has at least two points; only the first, at chi, is wanted.
+    out, _ = trig_interpolate(f, Axis(start=chi, step=f.axis.step, count=2))
+    return complex(out[0])
 
 
 def resample(
@@ -236,35 +214,28 @@ def resample(
 ) -> SampledFunction:
     """Return g on `target` with g(x) = amplitude_factor * f(x * scale).
 
-    Uses trigonometric (band-limited) interpolation.  A leakage diagnostic
-    is attached to the result when more than LEAKAGE_THRESHOLD of the
-    spectral energy falls above the target grid's representable band.
+    Uses trigonometric (band-limited) interpolation.  g carries a source
+    wavenumber k at k*scale, so the leakage diagnostic is the source energy
+    above the Nyquist wavenumber of the query axis target*scale; it is
+    attached to the result when it exceeds LEAKAGE_THRESHOLD.
     """
-    if scale == 0.0:
-        raise ValueError("scale must be nonzero")
-    x = target.points() * scale
-    pts = f.axis.points()
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
+    query = Axis(start=target.start * scale, step=target.step * scale,
+                 count=target.count)
+    out, leak = trig_interpolate(f, query)
     # Queries outside the sampled span see the interpolant's periodic
     # image; a properly decayed function is zero there instead.
-    inside = (x >= pts[0]) & (x <= pts[-1])
-    if scale > 0:
-        query = Axis(start=target.start * scale,
-                     step=target.step * scale, count=target.count)
-        out = trig_interpolate(f, query)
-    else:
-        rev = Axis(start=(target.start + (target.count - 1) * target.step) * scale,
-                   step=-target.step * scale, count=target.count)
-        out = trig_interpolate(f, rev)[::-1]
-    out[~inside] = 0.0
-    leak = _leakage_fraction(f, scale, target)
-    leak = leak if leak > LEAKAGE_THRESHOLD else 0.0
+    x = target.points() * scale
+    lo, hi = f.axis.points()[[0, -1]]
+    out[(x < lo) | (x > hi)] = 0.0
     return SampledFunction(
         axis=target,
         values=amplitude_factor * out,
         representation=f.representation,
         s=f.s,
         pol=f.pol,
-        leakage=max(f.leakage, leak),
+        leakage=max(f.leakage, leak if leak > LEAKAGE_THRESHOLD else 0.0),
     )
 
 
@@ -281,25 +252,26 @@ def read_csv(path, representation: Representation, s: int,
 
     The coordinate column must form a uniform ascending grid of even length.
     """
-    coords = []
-    vals = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["coordinate", "re", "im"]:
-            raise ValueError(f"{path}: expected header 'coordinate,re,im'")
-        for row in reader:
-            if len(row) != 3:
-                raise ValueError(f"{path}: malformed row {row!r}")
-            coords.append(float(row[0]))
-            vals.append(complex(float(row[1]), float(row[2])))
-    coords = np.asarray(coords)
-    if len(coords) < 2:
+    with open(path) as fh:
+        header = fh.readline()
+    if [h.strip() for h in header.split(",")] != ["coordinate", "re", "im"]:
+        raise ValueError(f"{path}: expected header 'coordinate,re,im'")
+    # loadtxt reads fastest from the path; the checks below catch files
+    # whose rows all have the same wrong width, and files with no rows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.size and data.shape[1] != 3:
+        raise ValueError(f"{path}: rows must have 3 columns, got {data.shape[1]}")
+    if len(data) < 2:
         raise ValueError(f"{path}: need at least 2 samples")
+    coords = data[:, 0]
     steps = np.diff(coords)
     step = steps[0]
     if step <= 0 or not np.allclose(steps, step, rtol=1e-9, atol=0.0):
         raise ValueError(f"{path}: coordinates must be uniform and ascending")
     axis = Axis(start=float(coords[0]), step=float(step), count=len(coords))
-    return SampledFunction(axis=axis, values=np.asarray(vals),
+    # A view, not re + 1j*im, so that every bit (the sign of -0.0 too) survives.
+    values = data[:, 1:].copy().view(complex)[:, 0]
+    return SampledFunction(axis=axis, values=values,
                            representation=representation, s=s, pol=pol)

@@ -114,8 +114,7 @@ class RegularisationKernel:
                    comments="", newline="\r\n")
 
 
-def field_matrix_element(state: Field, s: int,
-                         kernel: RegularisationKernel | None = None) -> SampledFunction:
+def field_matrix_element(state: Field, s: int) -> SampledFunction:
     """Vacuum-to-one-photon matrix element of the electric field for the
     H channel with direction s: int c * R(chi - chi') * psi(chi') dchi',
     computed as the sqrt(|k|) Fourier multiplier.
@@ -124,10 +123,7 @@ def field_matrix_element(state: Field, s: int,
     """
     f = state.channel(s, "H")
     ft = spectral.to_momentum(f)
-    if kernel is None:
-        kernel = RegularisationKernel(ft.axis, state.constants)
-    if kernel.k_axis != ft.axis:
-        raise ValueError("kernel was built for a different grid")
+    kernel = RegularisationKernel(ft.axis, state.constants)
     out = ft.with_values(kernel.multiplier * ft.values)
     return spectral.to_position(out, target=f.axis)
 

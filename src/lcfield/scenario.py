@@ -462,42 +462,6 @@ def _run_check(name, src: _Source, b: _Boosted, tol) -> CheckRecord:
     return _record(name, expected, measured, tol, {"beta": b.boost.beta, **extra})
 
 
-def _json_number(x: float) -> str:
-    if isinstance(x, bool) or x is None:
-        raise TypeError
-    if isinstance(x, int):
-        return str(x)
-    if math.isfinite(x):
-        return format(x, ".17g")
-    raise ValueError(f"non-finite number in report: {x}")
-
-
-def _to_json(obj, indent=0) -> str:
-    """JSON serializer with floats at 17 significant digits, sorted keys."""
-    pad = "  " * indent
-    pad_in = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, float)):
-        return _json_number(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f'{pad_in}{json.dumps(str(k))}: {_to_json(v, indent + 1)}'
-                 for k, v in sorted(obj.items()))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = (f"{pad_in}{_to_json(v, indent + 1)}" for v in obj)
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def _finalize(config: ScenarioConfig, checks, out_dir: Path) -> ScenarioReport:
     meta = {
         "config_hash": hashlib.sha256(config.source_text.encode()).hexdigest(),
@@ -521,5 +485,6 @@ def _finalize(config: ScenarioConfig, checks, out_dir: Path) -> ScenarioReport:
             "diagnostics": c.diagnostics,
         } for c in checks],
     }
-    (out_dir / "report.json").write_text(_to_json(payload) + "\n")
+    (out_dir / "report.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return report

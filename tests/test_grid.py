@@ -178,17 +178,27 @@ class TestResample:
 
     def test_rejects_zero_scale(self):
         f = unit_gaussian(make_axis())
-        with pytest.raises(ValueError):
-            resample(f, 0.0, 1.0, f.axis)
+        for scale in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                resample(f, scale, 1.0, f.axis)
+
+    @staticmethod
+    def carrier_fn(ax, fraction_of_nyquist):
+        chi = ax.points()
+        k0 = fraction_of_nyquist * np.pi / ax.step
+        return position_fn(ax, np.exp(-chi**2 / 32.0) * np.exp(1j * k0 * chi))
 
     def test_leakage_diagnostic_flags_aggressive_scale(self):
-        # Scaling by 1/8 maps the carrier far above the target band.
+        # Compressing by 8 maps a carrier at 0.2 of Nyquist to 1.6 of it.
         ax = make_axis(n=512, span=40.0)
-        chi = ax.points()
-        near_nyquist = 0.8 * np.pi / ax.step
-        f = position_fn(ax, np.exp(-chi**2 / 32.0) * np.exp(1j * near_nyquist * chi))
-        g = resample(f, 0.125, 1.0, ax)
+        g = resample(self.carrier_fn(ax, 0.2), 8.0, 1.0, ax)
         assert g.leakage > 1e-6
+
+    def test_stretch_keeps_carrier_in_band(self):
+        # Stretching by 8 maps a carrier at 0.8 of Nyquist to 0.1 of it.
+        ax = make_axis(n=512, span=40.0)
+        g = resample(self.carrier_fn(ax, 0.8), 0.125, 1.0, ax)
+        assert g.leakage == 0
 
     def test_clean_resample_has_zero_leakage(self):
         f = unit_gaussian(make_axis(), width=2.0)
@@ -198,11 +208,16 @@ class TestResample:
 class TestCsv:
     def test_roundtrip(self, tmp_path):
         f = unit_gaussian(make_axis(n=64, span=8.0), carrier=1.0)
+        vals = f.values.copy()
+        vals[0] = complex(-0.0, 5e-324)  # sign of zero and a subnormal
+        vals[1] = complex(2.2250738585072014e-308, -0.0)
+        f = position_fn(f.axis, vals)
         path = tmp_path / "f.csv"
         write_csv(f, path)
         g = read_csv(path, Representation.POSITION_CHI, s=1)
         assert g.axis == f.axis
-        np.testing.assert_array_equal(g.values, f.values)
+        # Compared by bits: assert_array_equal takes -0.0 == 0.0.
+        np.testing.assert_array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
 
     def test_header_format(self, tmp_path):
         f = unit_gaussian(make_axis(n=8, span=8.0))
@@ -213,9 +228,20 @@ class TestCsv:
 
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("coordinate,re,im\n0.0,1.0\n")
-        with pytest.raises(ValueError):
-            read_csv(path, Representation.POSITION_CHI, s=1)
+        for body in ("0.0,1.0\n",  # too few columns
+                     "0.0,1.0,0.0\n1.0,1.0\n",  # a short row after a good one
+                     "0.0,1.0,0.0\n1.0,x,0.0\n"):  # a non-numeric cell
+            path.write_text("coordinate,re,im\n" + body)
+            with pytest.raises(ValueError):
+                read_csv(path, Representation.POSITION_CHI, s=1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_too_few_samples(self, tmp_path):
+        path = tmp_path / "short.csv"
+        for body in ("", "0.0,1.0,0.0\n"):
+            path.write_text("coordinate,re,im\n" + body)
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                read_csv(path, Representation.POSITION_CHI, s=1)
 
     def test_rejects_nonuniform(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -291,12 +291,6 @@ class TestFieldMatrixElement:
                / np.linalg.norm(oracle))
         assert rel < 1e-3
 
-    def test_kernel_grid_mismatch(self):
-        state = unit_state()
-        other = Axis(start=-10.0, step=0.1, count=200).conjugate()
-        with pytest.raises(ValueError):
-            field_matrix_element(state, 1, kernel=RegularisationKernel(other))
-
 
 def kernel_check(state, boost, target):
     return kernel_consistency_check(field_matrix_element(state, 1),

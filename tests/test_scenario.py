@@ -7,10 +7,12 @@ import shutil
 import numpy as np
 import pytest
 
+from lcfield import scenario
 from lcfield.cli import main
 from lcfield.grid import Axis, FieldConstants
 from lcfield.scenario import (
     ALL_CHECKS,
+    CheckRecord,
     ConfigError,
     DEFAULT_TOLERANCES,
     load_config,
@@ -161,6 +163,14 @@ class TestRunScenario:
         second = (tmp_path / "out" / "report.json").read_text()
         strip = lambda text: re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
         assert strip(first) == strip(second)
+
+    def test_report_rejects_non_finite(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path))
+        rec = CheckRecord(name="parseval", expected=0.0, measured=math.nan,
+                          abs_error=math.nan, rel_error=math.nan,
+                          tolerance=1e-10, passed=False)
+        with pytest.raises(ValueError):
+            scenario._finalize(cfg, [rec], tmp_path)
 
     def test_failure_reported_not_raised(self, tmp_path):
         # An absurdly tight tolerance turns a passing check into a failure.
