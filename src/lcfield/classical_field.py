@@ -4,7 +4,9 @@ A packet is a `Field` that stores complex analytic E amplitudes in its
 (s, "H") channels; the magnetic amplitude is never stored because a
 traveling wave fixes B(chi) = s*E(chi)/c, which makes the E/B ratio
 frame-invariant by construction.  Propagation is exact relabeling along
-chi = x - s*c*t (`grid.evaluate_at`).
+chi = x - s*c*t (`grid.evaluate_at`); a boost is `grid.boost_field` with
+power 1, E_B(chi_B) = xi * E_A(xi * chi_B), and B follows with the same
+factor since it is derived.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .grid import Axis, Field, SampledFunction, resample
+from .grid import Field, SampledFunction, resample  # noqa: F401 (perfbench patches it)
 from .kinematics import BoostParams, xi
 
 __all__ = [
     "WorldlineBox",
     "SpectrumResult",
-    "boost_packet",
     "box_energy",
     "total_energy",
     "transform_density",
@@ -52,18 +53,6 @@ def _edge_decay_ok(f: SampledFunction) -> bool:
         return True
     edge = max(abs(f.values[0]), abs(f.values[-1]))
     return edge <= EDGE_DECAY_FRACTION * peak
-
-
-def boost_packet(packet: Field, boost: BoostParams, target: Axis) -> Field:
-    """Transform every channel into the boosted frame.
-
-    Per channel: E_B(chi_B) = xi * E_A(chi_B / kappa), realized as a
-    band-limited resample with scale 1/kappa = xi and amplitude xi.  B
-    transforms with the same factor automatically since it is derived.
-    """
-    return packet.map(lambda f: resample(f, scale=xi(f.s, boost),
-                                         amplitude_factor=xi(f.s, boost),
-                                         target=target))
 
 
 def box_energy(packet: Field, box: WorldlineBox) -> float:

@@ -2,9 +2,9 @@
 
 Provides the midpoint-rule inner product, L2 distance, band-limited
 resampling under coordinate rescaling (the discrete realization of
-substitutions like chi' -> scale*chi'), CSV serialization, and the
-`Field` container that holds one sampled function per (s, pol) channel
-for both classical packets and one-photon blip states.
+substitutions like chi' -> scale*chi'), CSV serialization, the `Field`
+container of one sampled function per (s, pol) channel for both classical
+packets and one-photon blip states, and `boost_field`, which boosts both.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import czt
+
+from .kinematics import BoostParams, kappa, xi
 
 __all__ = [
     "Representation",
@@ -27,6 +28,7 @@ __all__ = [
     "norm",
     "l2_distance",
     "resample",
+    "boost_field",
     "trig_interpolate",
     "write_csv",
     "read_csv",
@@ -62,6 +64,10 @@ class Axis:
     @property
     def span(self) -> float:
         return self.count * self.step
+
+    @property
+    def end(self) -> float:
+        return self.start + (self.count - 1) * self.step
 
     def points(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count)
@@ -175,12 +181,18 @@ def trig_interpolate(f: SampledFunction, query: Axis) -> tuple[np.ndarray, float
     `query` axis, and the fraction of f's spectral energy above the query
     axis's Nyquist wavenumber pi/query.step (the part it cannot represent).
 
-    One FFT of f and a chirp-z transform, O(N log N) regardless of the
-    query spacing.  The interpolant is periodic with the source span;
-    queries are expected to stay where the function has decayed.
+    Queries that are f's samples up to rounding (same count, both end
+    points within 8 eps of the largest |coordinate|) return the samples and
+    no leakage.  Others take one FFT of f and a chirp-z transform, O(N log N)
+    regardless of the query spacing, and read 0 outside f's sampled span,
+    where the interpolant repeats f periodically.
     """
-    if query == f.axis:
-        return f.values.copy(), 0.0  # queries coincide with the samples
+    lo, hi = f.axis.start, f.axis.end
+    tol = 8.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    if (query.count == f.axis.count and abs(query.start - lo) <= tol
+            and abs(query.end - hi) <= tol):
+        return f.values.copy(), 0.0
+    from scipy.signal import czt  # imported here: on-sample queries never need it
     n = f.axis.count
     u = 2.0 * np.pi / f.axis.span
     coeff = np.fft.fftshift(np.fft.fft(f.values))
@@ -188,9 +200,11 @@ def trig_interpolate(f: SampledFunction, query: Axis) -> tuple[np.ndarray, float
     power = np.abs(coeff) ** 2
     total = power.sum()
     lost = power[u * np.abs(freqs) > np.pi / query.step].sum()
-    d = coeff * np.exp(1j * u * freqs * (query.start - f.axis.start))
+    d = coeff * np.exp(1j * u * freqs * (query.start - lo))
     out = czt(d, query.count, w=np.exp(1j * u * query.step), a=1.0)
     out *= np.exp(-1j * u * (n // 2) * np.arange(query.count) * query.step)
+    x = query.points()
+    out[(x < lo) | (x > hi)] = 0.0
     return out / n, float(lost / total) if total > 0 else 0.0
 
 
@@ -198,8 +212,7 @@ def evaluate_at(field: Field, x: float, t: float, s: int, pol: str = "H") -> com
     """Channel amplitude at (x, t): exact relabeling f(x - s*c*t)."""
     f = field.channel(s, pol)
     chi = x - s * field.constants.c * t
-    lo, hi = f.axis.points()[[0, -1]]
-    if chi < lo or chi > hi:
+    if chi < f.axis.start or chi > f.axis.end:
         raise ValueError(f"chi = {chi} outside the sampled grid")
     # An axis has at least two points; only the first, at chi, is wanted.
     out, _ = trig_interpolate(f, Axis(start=chi, step=f.axis.step, count=2))
@@ -224,11 +237,6 @@ def resample(
     query = Axis(start=target.start * scale, step=target.step * scale,
                  count=target.count)
     out, leak = trig_interpolate(f, query)
-    # Queries outside the sampled span see the interpolant's periodic
-    # image; a properly decayed function is zero there instead.
-    x = target.points() * scale
-    lo, hi = f.axis.points()[[0, -1]]
-    out[(x < lo) | (x > hi)] = 0.0
     return SampledFunction(
         axis=target,
         values=amplitude_factor * out,
@@ -237,6 +245,23 @@ def resample(
         pol=f.pol,
         leakage=max(f.leakage, leak if leak > LEAKAGE_THRESHOLD else 0.0),
     )
+
+
+def boost_field(field: Field, boost: BoostParams, target: Axis, power: float) -> Field:
+    """The field seen from the boosted frame, sampled on `target`.
+
+    A sample at chi_A is the sample at kappa*chi_A in the boosted frame,
+    rescaled: g(x) = scale**power * f(scale * x) per channel, with scale
+    xi = 1/kappa on a chi channel and kappa on a k channel.  `power` is 1
+    for an E amplitude or a field matrix element, and 1/2 for a one-photon
+    amplitude, whose squared norm (the photon number) it keeps.
+    """
+    def one(f: SampledFunction) -> SampledFunction:
+        factor = xi if f.representation is Representation.POSITION_CHI else kappa
+        scale = factor(f.s, boost)
+        return resample(f, scale=scale, amplitude_factor=scale ** power, target=target)
+
+    return field.map(one)
 
 
 def write_csv(f: SampledFunction, path) -> None:

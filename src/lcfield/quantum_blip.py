@@ -2,11 +2,13 @@
 
 States live in the one-photon sector and are represented by complex
 amplitude functions per (direction, polarization) channel; the squared
-norm is the photon-number expectation.  The electric-field matrix element
-applies the singular convolution kernel -sqrt(hbar/(4*pi*eps*c*A)) *
-|u|^{-3/2} as a Fourier multiplier proportional to sqrt(|k|); a Hadamard
-finite-part quadrature of the same kernel serves as the independent slow
-oracle that pins the multiplier's sign and magnitude.
+norm is the photon-number expectation.  A boost, `grid.boost_field` with
+power 1/2, keeps it: sqrt(xi) * psi(xi * chi), sqrt(kappa) * psi~(kappa * k).
+The electric-field matrix element applies the singular convolution kernel
+-sqrt(hbar/(4*pi*eps*c*A)) * |u|^{-3/2} as a Fourier multiplier
+proportional to sqrt(|k|); a Hadamard finite-part quadrature of the same
+kernel serves as the independent slow oracle that pins the multiplier's
+sign and magnitude.
 """
 
 from __future__ import annotations
@@ -15,40 +17,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import spectral
-from .grid import (Axis, Field, FieldConstants, SampledFunction, l2_distance, norm,
-                   resample)
-from .kinematics import BoostParams, kappa, xi
+from .grid import (Axis, Field, FieldConstants, SampledFunction, boost_field,
+                   l2_distance, norm)
+from .grid import resample  # noqa: F401 (perfbench patches it)
+from .kinematics import BoostParams
 
 __all__ = [
     "RegularisationKernel",
-    "boost_blip",
     "photon_number",
     "to_momentum_state",
     "to_position_state",
-    "boost_momentum_state",
     "mode_occupation",
     "field_matrix_element",
     "kernel_consistency_check",
     "finite_part_convolution",
 ]
-
-
-def _photon_rescale(f: SampledFunction, scale: float, target: Axis) -> SampledFunction:
-    """g(x) = sqrt(scale) * f(scale * x): the norm-keeping one-photon rule."""
-    return resample(f, scale=scale, amplitude_factor=math.sqrt(scale),
-                    target=target)
-
-
-def boost_blip(state: Field, boost: BoostParams, target: Axis) -> Field:
-    """psi_B(chi_B) = sqrt(xi) * psi_A(xi * chi_B), channel by channel.
-
-    The sqrt(xi) amplitude keeps the squared norm, hence the photon
-    number, invariant.
-    """
-    return state.map(lambda f: _photon_rescale(f, xi(f.s, boost), target))
 
 
 def photon_number(state: Field) -> float:
@@ -62,11 +47,6 @@ def to_momentum_state(state: Field) -> Field:
 
 def to_position_state(mstate: Field, target: Axis | None = None) -> Field:
     return mstate.map(lambda f: spectral.to_position(f, target))
-
-
-def boost_momentum_state(mstate: Field, boost: BoostParams, target: Axis) -> Field:
-    """psi~_B(k_B) = sqrt(kappa) * psi~_A(kappa * k_B), channel by channel."""
-    return mstate.map(lambda f: _photon_rescale(f, kappa(f.s, boost), target))
 
 
 def mode_occupation(mstate: Field, k_lo: float, k_hi: float) -> float:
@@ -144,9 +124,8 @@ def kernel_consistency_check(me_A: SampledFunction, boosted: Field,
     kappa^{-3/2} R(u).
     """
     s = me_A.s
-    # rhs first, so that its chirp-z temporaries do not coexist with lhs.
-    rhs = resample(me_A, scale=xi(s, boost), amplitude_factor=xi(s, boost),
-                   target=boosted.channel(s, "H").axis)
+    rhs = boost_field(Field(channels={(s, "H"): me_A}), boost,
+                      boosted.channel(s, "H").axis, power=1).channel(s)
     lhs = field_matrix_element(boosted, s)
     ref = norm(lhs)
     num = l2_distance(lhs, rhs)
@@ -167,6 +146,8 @@ def finite_part_convolution(psi, chi_points, constants: FieldConstants = FieldCo
     applied to g(u) = psi(chi - u) at each requested chi, then scaled by
     c * prefactor.  psi must be negligible beyond `outer_radius`.
     """
+    from scipy.integrate import quad  # imported here: only this oracle needs it
+
     prefactor = -math.sqrt(constants.hbar / (4.0 * math.pi * constants.epsilon
                                              * constants.c * constants.area))
     a, big = inner_radius, outer_radius

@@ -25,7 +25,7 @@ from . import classical_field as cf
 from . import quantum_blip as qb
 from . import spectral
 from .grid import (Axis, Field, FieldConstants, Representation, SampledFunction,
-                   l2_distance, read_csv, write_csv)
+                   boost_field, l2_distance, read_csv, write_csv)
 from .kinematics import kappa, make_boost, simulate_signal_exchange, xi
 
 __all__ = [
@@ -321,11 +321,11 @@ class _Boosted:
 
     @cached_property
     def packet(self) -> Field:
-        return cf.boost_packet(self.src.packet, self.boost, self.target)
+        return boost_field(self.src.packet, self.boost, self.target, power=1)
 
     @cached_property
     def state(self) -> Field:
-        return qb.boost_blip(self.src.state, self.boost, self.target)
+        return boost_field(self.src.state, self.boost, self.target, power=0.5)
 
 
 def run_scenario(config: ScenarioConfig, config_dir: Path | None = None) -> ScenarioReport:
@@ -425,7 +425,7 @@ def _momentum_path_commutativity(src: _Source, b: _Boosted):
     key = (src.s, src.config.state_pol)
     via_chi = qb.to_momentum_state(b.state).channel(*key)
     mom_a = src.once("momentum_state", lambda: qb.to_momentum_state(src.state))
-    via_k = qb.boost_momentum_state(mom_a, b.boost, via_chi.axis).channel(*key)
+    via_k = boost_field(mom_a, b.boost, via_chi.axis, power=0.5).channel(*key)
     return 0.0, l2_distance(via_chi, via_k), {}
 
 

@@ -4,7 +4,6 @@ import pytest
 from lcfield.classical_field import (
     WorldlineBox,
     box_energy,
-    boost_packet,
     doppler_shift_wavenumber,
     spectrum,
     total_energy,
@@ -16,6 +15,7 @@ from lcfield.grid import (
     FieldConstants,
     Representation,
     SampledFunction,
+    boost_field,
     evaluate_at,
     l2_distance,
     norm,
@@ -89,7 +89,7 @@ class TestEvaluateAt:
 class TestBoostPacket:
     def test_identity_boost(self):
         packet = gaussian_packet(carrier=2.0)
-        boosted = boost_packet(packet, make_boost(0.0), AXIS)
+        boosted = boost_field(packet, make_boost(0.0), AXIS, power=1)
         assert np.abs(boosted.channel(1).values
                       - packet.channel(1).values).max() < 1e-10
 
@@ -98,7 +98,7 @@ class TestBoostPacket:
         packet = gaussian_packet(width=w, amplitude=e0)
         boost = make_boost(0.6)  # kappa=2, xi=0.5
         target = scaled_axis(AXIS, 2.0)
-        boosted = boost_packet(packet, boost, target)
+        boosted = boost_field(packet, boost, target, power=1)
         chi = target.points()
         expected = 0.5 * e0 * np.exp(-((0.5 * chi) ** 2) / (2 * w**2))
         assert np.abs(boosted.channel(1).values - expected).max() < 1e-6
@@ -106,8 +106,8 @@ class TestBoostPacket:
     def test_roundtrip(self):
         packet = gaussian_packet(carrier=2.0)
         boost = make_boost(0.6)
-        there = boost_packet(packet, boost, scaled_axis(AXIS, kappa(1, boost)))
-        back = boost_packet(there, inverse_boost(boost), AXIS)
+        there = boost_field(packet, boost, scaled_axis(AXIS, kappa(1, boost)), power=1)
+        back = boost_field(there, inverse_boost(boost), AXIS, power=1)
         assert l2_distance(back.channel(1), packet.channel(1)) < 1e-6
 
     def test_amplitude_factor(self):
@@ -117,7 +117,7 @@ class TestBoostPacket:
             target = scaled_axis(AXIS, kappa(s, boost))
             f = gaussian_channel(s, carrier=1.0)
             p = Field(channels={(s, "H"): f})
-            boosted = boost_packet(p, boost, target)
+            boosted = boost_field(p, boost, target, power=1)
             ratio = (np.abs(boosted.channel(s).values).max()
                      / np.abs(f.values).max())
             assert ratio == pytest.approx(xi(s, boost), rel=1e-6)
@@ -157,7 +157,7 @@ class TestBoxEnergy:
         for beta, s in [(0.6, 1), (0.5, 1), (-0.3, 1)]:
             boost = make_boost(beta)
             kap = kappa(s, boost)
-            boosted = boost_packet(packet, boost, scaled_axis(AXIS, kap))
+            boosted = boost_field(packet, boost, scaled_axis(AXIS, kap), power=1)
             box_b = WorldlineBox(kap * box_a.a1, kap * box_a.a2,
                                  h=transform_density(1.0, s, boost))
             e_b = box_energy(boosted, box_b)
@@ -179,8 +179,8 @@ class TestTotalEnergy:
         e_a = total_energy(packet)
         for beta, s in [(0.6, 1), (0.9, 1), (-0.5, 1)]:
             boost = make_boost(beta)
-            boosted = boost_packet(packet, boost,
-                                   scaled_axis(AXIS, kappa(s, boost)))
+            boosted = boost_field(packet, boost,
+                                  scaled_axis(AXIS, kappa(s, boost)), power=1)
             assert total_energy(boosted) / e_a == pytest.approx(
                 xi(s, boost), rel=1e-6)
 
@@ -236,7 +236,7 @@ class TestSpectrum:
             (1, "H"): gaussian_channel(1, width=12.0, carrier=20 * dk, axis=ax)})
         base = spectrum(packet, 1).centroid
         boost = make_boost(0.6)
-        boosted = boost_packet(packet, boost, scaled_axis(ax, kappa(1, boost)))
+        boosted = boost_field(packet, boost, scaled_axis(ax, kappa(1, boost)), power=1)
         ratio = spectrum(boosted, 1).centroid / base
         assert ratio == pytest.approx(xi(1, boost), rel=1e-3)
 
@@ -265,7 +265,7 @@ def spectral_law_discrepancy(packet, boost, target):
     """Relative L2 gap between the spectrum of the boosted packet and the
     rescaled source spectrum E~_A(kappa * k_B), computed independently.
     """
-    lhs = spectrum(boost_packet(packet, boost, target), 1).momentum
+    lhs = spectrum(boost_field(packet, boost, target, power=1), 1).momentum
     rhs = resample(spectrum(packet, 1).momentum, scale=kappa(1, boost),
                    amplitude_factor=1.0, target=lhs.axis)
     return l2_distance(lhs, rhs) / norm(lhs)
@@ -286,7 +286,7 @@ class TestSpectralTransformCheck:
         packet = gaussian_packet(width=4.0)
         boost = make_boost(0.6)
         target = scaled_axis(AXIS, kappa(1, boost))
-        boosted = boost_packet(packet, boost, target)
+        boosted = boost_field(packet, boost, target, power=1)
         assert abs(spectrum(boosted, 1).centroid) < 1e-10
 
 

@@ -3,15 +3,19 @@ import pytest
 
 from lcfield.grid import (
     Axis,
+    Field,
     Representation,
     SampledFunction,
+    boost_field,
     inner_product,
     l2_distance,
     norm,
     read_csv,
     resample,
+    trig_interpolate,
     write_csv,
 )
+from lcfield.kinematics import kappa, make_boost, xi
 
 
 def make_axis(n=1024, span=40.0, start=None):
@@ -203,6 +207,56 @@ class TestResample:
     def test_clean_resample_has_zero_leakage(self):
         f = unit_gaussian(make_axis(), width=2.0)
         assert resample(f, 1.0, 1.0, f.axis).leakage == 0.0
+
+    def test_query_just_off_the_samples_interpolates(self):
+        # 1e-6 of a step is far above rounding: no snapping to the samples.
+        ax = make_axis(n=1024, span=40.0)
+        f = unit_gaussian(ax, width=2.0, carrier=3.0)
+        query = Axis(start=ax.start + 1e-6 * ax.step, step=ax.step, count=ax.count)
+        out, _ = trig_interpolate(f, query)
+        exact = unit_gaussian(query, width=2.0, carrier=3.0).values
+        assert np.abs(out - exact).max() < 1e-10
+        assert np.abs(out - f.values).max() > 1e-8
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP open item 2: off-grid chirp-z "
+                       "queries lose about k^2*eps in the chirp phases")
+    def test_off_grid_gaussian_exact_at_2_18(self):
+        n = 2**18
+        ax = Axis(start=-100.0, step=200.0 / n, count=n)
+        chi = ax.points()
+        f = position_fn(ax, np.exp(-chi**2 / (2 * 12.0**2)))
+        g = resample(f, 1.25, 1.0, ax)
+        exact = np.exp(-(1.25 * chi) ** 2 / (2 * 12.0**2))
+        assert np.abs(g.values - exact).max() <= 1e-12 * np.abs(f.values).max()
+
+
+class TestBoostField:
+    BETAS = (-0.99, -0.9, -0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+
+    @pytest.mark.parametrize("n", [2**12, 2**14, 2**16, 2**18])
+    @pytest.mark.parametrize("s", [1, -1])
+    @pytest.mark.parametrize("rep", list(Representation))
+    def test_onto_own_doppler_grid_returns_samples(self, n, s, rep):
+        # Sample i at chi_i is the sample at kappa*chi_i in the boosted
+        # frame, so boosting onto the runner's grids (the kappa-scaled chi
+        # grid and its conjugate k grid) only rescales the samples: no
+        # interpolation round-off, and no end sample lost to the span mask.
+        chi_axis = Axis(start=-100.0, step=200.0 / n, count=n)
+        on_chi = rep is Representation.POSITION_CHI
+        ax = chi_axis if on_chi else chi_axis.conjugate()
+        rng = np.random.default_rng(n)
+        f = SampledFunction(axis=ax, values=rng.normal(size=(n, 2)) @ [1, 1j],
+                            representation=rep, s=s)
+        field = Field(channels={(s, "H"): f})
+        for beta in self.BETAS:
+            boost = make_boost(beta)
+            k = kappa(s, boost)
+            target = Axis(start=chi_axis.start * k, step=chi_axis.step * k, count=n)
+            target, scale = (target, xi(s, boost)) if on_chi else (target.conjugate(), k)
+            for power in (1, 0.5):
+                g = boost_field(field, boost, target, power).channel(s)
+                np.testing.assert_array_equal(g.values, scale ** power * f.values)
+                assert g.axis == target and g.leakage == 0.0
 
 
 class TestCsv:

@@ -7,14 +7,13 @@ from lcfield.grid import (
     FieldConstants,
     Representation,
     SampledFunction,
+    boost_field,
     evaluate_at,
     l2_distance,
 )
 from lcfield.kinematics import inverse_boost, kappa, make_boost, xi
 from lcfield.quantum_blip import (
     RegularisationKernel,
-    boost_blip,
-    boost_momentum_state,
     field_matrix_element,
     finite_part_convolution,
     kernel_consistency_check,
@@ -80,7 +79,7 @@ class TestPropagation:
 class TestBoostBlip:
     def test_identity(self):
         state = unit_state(carrier=2.0)
-        boosted = boost_blip(state, make_boost(0.0), AXIS)
+        boosted = boost_field(state, make_boost(0.0), AXIS, power=0.5)
         assert np.abs(boosted.channel(1).values
                       - state.channel(1).values).max() < 1e-10
 
@@ -89,7 +88,7 @@ class TestBoostBlip:
         state = unit_state(width=w)
         boost = make_boost(0.6)  # xi = 0.5 for s = +1
         target = scaled_axis(AXIS, 2.0)
-        boosted = boost_blip(state, boost, target)
+        boosted = boost_field(state, boost, target, power=0.5)
         chi = target.points()
         expected = np.sqrt(0.5) * (np.pi * w**2) ** -0.25 * np.exp(
             -((0.5 * chi) ** 2) / (2 * w**2))
@@ -99,8 +98,8 @@ class TestBoostBlip:
     def test_roundtrip(self):
         state = unit_state(carrier=1.5)
         boost = make_boost(0.6)
-        there = boost_blip(state, boost, scaled_axis(AXIS, kappa(1, boost)))
-        back = boost_blip(there, inverse_boost(boost), AXIS)
+        there = boost_field(state, boost, scaled_axis(AXIS, kappa(1, boost)), power=0.5)
+        back = boost_field(there, inverse_boost(boost), AXIS, power=0.5)
         assert l2_distance(back.channel(1), state.channel(1)) < 1e-6
 
     @pytest.mark.parametrize("beta", [0.3, -0.3, 0.6, -0.6, 0.9, -0.9])
@@ -109,7 +108,7 @@ class TestBoostBlip:
         state = unit_state(carrier=1.0, s=s)
         boost = make_boost(beta)
         target = scaled_axis(AXIS, kappa(s, boost))
-        boosted = boost_blip(state, boost, target)
+        boosted = boost_field(state, boost, target, power=0.5)
         assert photon_number(boosted) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -158,8 +157,8 @@ class TestMomentumState:
 class TestBoostMomentum:
     def test_identity(self):
         mstate = to_momentum_state(unit_state(carrier=2.0))
-        boosted = boost_momentum_state(mstate, make_boost(0.0),
-                                       mstate.channel(1).axis)
+        boosted = boost_field(mstate, make_boost(0.0), mstate.channel(1).axis,
+                              power=0.5)
         assert np.abs(boosted.channel(1).values
                       - mstate.channel(1).values).max() < 1e-10
 
@@ -169,7 +168,7 @@ class TestBoostMomentum:
         boost = make_boost(0.6)
         mstate = to_momentum_state(state)
         k_target = scaled_axis(AXIS, kappa(1, boost)).conjugate()
-        boosted = boost_momentum_state(mstate, boost, k_target)
+        boosted = boost_field(mstate, boost, k_target, power=0.5)
         peak = k_target.points()[np.argmax(np.abs(boosted.channel(1).values))]
         assert peak == pytest.approx(xi(1, boost) * k0, abs=2 * k_target.step)
 
@@ -177,16 +176,16 @@ class TestBoostMomentum:
         state = unit_state(width=3.0, carrier=2.0)
         boost = make_boost(0.6)
         target = scaled_axis(AXIS, kappa(1, boost))
-        via_chi = to_momentum_state(boost_blip(state, boost, target))
-        via_k = boost_momentum_state(to_momentum_state(state), boost,
-                                     via_chi.channel(1).axis)
+        via_chi = to_momentum_state(boost_field(state, boost, target, power=0.5))
+        via_k = boost_field(to_momentum_state(state), boost,
+                            via_chi.channel(1).axis, power=0.5)
         assert l2_distance(via_chi.channel(1), via_k.channel(1)) < 1e-6
 
     def test_norm_preserved(self):
         state = unit_state(carrier=1.0)
         boost = make_boost(0.8)
         k_target = scaled_axis(AXIS, kappa(1, boost)).conjugate()
-        boosted = boost_momentum_state(to_momentum_state(state), boost, k_target)
+        boosted = boost_field(to_momentum_state(state), boost, k_target, power=0.5)
         assert photon_number(boosted) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -209,7 +208,7 @@ class TestModeOccupation:
 
         boost = make_boost(0.6)
         target = scaled_axis(ax, kappa(1, boost))
-        boosted = to_momentum_state(boost_blip(state, boost, target))
+        boosted = to_momentum_state(boost_field(state, boost, target, power=0.5))
         assert mode_occupation(boosted, *window) <= 1e-3
         k_shift = xi(1, boost) * k0
         shifted = (k_shift - 5 * dk, k_shift + 5 * dk)
@@ -294,7 +293,7 @@ class TestFieldMatrixElement:
 
 def kernel_check(state, boost, target):
     return kernel_consistency_check(field_matrix_element(state, 1),
-                                    boost_blip(state, boost, target), boost)
+                                    boost_field(state, boost, target, power=0.5), boost)
 
 
 class TestKernelConsistency:
@@ -385,6 +384,6 @@ def test_channels_do_not_mix_under_boost():
     state = Field(channels={(1, "H"): f, (-1, "V"): g})
     boost = make_boost(0.4)
     target = scaled_axis(AXIS, kappa(1, boost))
-    boosted = boost_blip(state, boost, target)
+    boosted = boost_field(state, boost, target, power=0.5)
     assert set(boosted.channels) == {(1, "H"), (-1, "V")}
     assert photon_number(boosted) == pytest.approx(2.0, abs=1e-6)

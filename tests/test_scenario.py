@@ -1,15 +1,18 @@
 import json
 import math
+import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from lcfield import scenario
 from lcfield.cli import main
-from lcfield.grid import Axis, FieldConstants
+from lcfield.grid import Axis, FieldConstants, boost_field
 from lcfield.scenario import (
     ALL_CHECKS,
     CheckRecord,
@@ -229,6 +232,61 @@ class TestRunScenario:
                         "checks = doppler_centroid, photon_number_conservation\n")
         report = run_scenario(load_config(path), config_dir=tmp_path)
         assert report.all_passed
+
+
+def with_power(wrong: float, right: float):
+    """boost_field, but with amplitude power `wrong` where `right` is due."""
+    def patched(field, boost, target, power):
+        return boost_field(field, boost, target, wrong if power == right else power)
+    return patched
+
+
+class TestNegativeControls:
+    """Each conservation check fails when the law it checks is broken."""
+
+    CHECKS = "box_energy_conservation, naive_energy_ratio, photon_number_conservation"
+
+    @staticmethod
+    def records(tmp_path):
+        # The later `boosts` line wins: beta = 0.5, whose kappa is not exact.
+        path = write_cfg(tmp_path, checks=TestNegativeControls.CHECKS,
+                         extra="boosts = 0.5\n")
+        report = run_scenario(load_config(path), config_dir=tmp_path)
+        return {c.name: c for c in report.checks}
+
+    def test_control_passes(self, tmp_path):
+        assert all(c.passed for c in self.records(tmp_path).values())
+
+    @pytest.mark.parametrize("check, module, attr, fake", [
+        ("photon_number_conservation", scenario, "boost_field", with_power(1, 0.5)),
+        ("naive_energy_ratio", scenario, "boost_field", with_power(0.5, 1)),
+        ("box_energy_conservation", scenario.cf, "transform_density",
+         lambda h_A, s, boost: h_A),
+    ])
+    def test_broken_law_fails(self, tmp_path, monkeypatch, check, module, attr, fake):
+        monkeypatch.setattr(module, attr, fake)
+        rec = self.records(tmp_path)[check]
+        assert not rec.passed and not rec.errored
+        assert rec.rel_error > 1e3 * rec.tolerance
+
+
+def test_runner_imports_no_scipy_signal_or_integrate(tmp_path):
+    # Each costs a large part of a second to import; on-sample boosts and
+    # the checks need neither (only off-grid resampling and the quadrature
+    # oracle do).
+    path = write_cfg(tmp_path, extra="boosts = 0.5\n")
+    code = (
+        "import sys, lcfield.cli, lcfield.scenario as sc\n"
+        "names = ('scipy.signal', 'scipy.integrate')\n"
+        "heavy = lambda: [m for m in names if m in sys.modules]\n"
+        "print(heavy())\n"
+        f"sc.run_scenario(sc.load_config({str(path)!r}), config_dir={str(tmp_path)!r})\n"
+        "print(heavy())\n")
+    src = str(pathlib.Path(scenario.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines() == ["[]", "[]"]
 
 
 class TestCli:
