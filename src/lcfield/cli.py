@@ -28,12 +28,7 @@ def _report_lines(name, report):
         yield f"  {c.name:32s} {status:5s} {detail}"
 
 
-def _cmd_run(args) -> int:
-    try:
-        config = load_config(args.config)
-    except (FileNotFoundError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_run(args, config) -> int:
     report = run_scenario(config, config_dir=Path(args.config).parent)
     for line in _report_lines(Path(args.config).stem, report):
         print(line)
@@ -71,12 +66,7 @@ def _cmd_check_all(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_export_kernel(args) -> int:
-    try:
-        config = load_config(args.config)
-    except (FileNotFoundError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_export_kernel(args, config) -> int:
     kernel = RegularisationKernel(config.grid.conjugate(), config.constants)
     out = Path(args.output) if args.output else Path(config.output_dir) / "kernel.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -107,17 +97,19 @@ def main(argv=None) -> int:
     sub.add_parser("version", help="print the package version")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "check-all":
-        return _cmd_check_all(args)
-    if args.command == "export-kernel":
-        return _cmd_export_kernel(args)
     if args.command == "version":
         print(__version__)
         return 0
-    parser.print_usage(sys.stderr)
-    return 2
+    if args.command == "check-all":
+        return _cmd_check_all(args)
+    try:
+        config = load_config(args.config)
+    except (FileNotFoundError, ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "run":
+        return _cmd_run(args, config)
+    return _cmd_export_kernel(args, config)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ packets and one-photon blip states, and `boost_field`, which boosts both.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -54,12 +55,15 @@ class Axis:
     count: int
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError(f"axis step must be positive, got {self.step!r}")
         if self.count < 2:
             raise ValueError(f"axis needs at least 2 points, got {self.count}")
         if self.count % 2 != 0:
             raise ValueError(f"axis count must be even, got {self.count}")
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError(f"axis points must be finite, got start {self.start!r}, "
+                             f"end {self.end!r}")
 
     @property
     def span(self) -> float:
@@ -121,8 +125,8 @@ class FieldConstants:
     area: float = 1.0
 
     def __post_init__(self):
-        if min(self.c, self.hbar, self.epsilon, self.area) <= 0:
-            raise ValueError("physical constants must be positive")
+        if not all(0 < v < math.inf for v in (self.c, self.hbar, self.epsilon, self.area)):
+            raise ValueError(f"physical constants must be finite and positive, got {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,9 +218,11 @@ def evaluate_at(field: Field, x: float, t: float, s: int, pol: str = "H") -> com
     chi = x - s * field.constants.c * t
     if chi < f.axis.start or chi > f.axis.end:
         raise ValueError(f"chi = {chi} outside the sampled grid")
-    # An axis has at least two points; only the first, at chi, is wanted.
-    out, _ = trig_interpolate(f, Axis(start=chi, step=f.axis.step, count=2))
-    return complex(out[0])
+    # The trigonometric interpolant at one point: one FFT and one O(N) sum.
+    n = f.axis.count
+    freqs = np.arange(-(n // 2), n // 2)
+    phases = np.exp(2j * np.pi / f.axis.span * freqs * (chi - f.axis.start))
+    return complex(np.fft.fftshift(np.fft.fft(f.values)) @ phases) / n
 
 
 def resample(

@@ -79,6 +79,30 @@ class ScenarioConfig:
     tolerances: dict = field(default_factory=dict)
     source_text: str = ""
 
+    def __post_init__(self):
+        """Check the rules no other type owns; make_boost checks each boost."""
+        problems = []
+        if self.state_kind not in ("gaussian", "gaussian_carrier", "custom"):
+            problems.append(f"state.kind: unknown kind {self.state_kind!r}")
+        if self.state_kind == "custom" and not self.state_file:
+            problems.append("state.file: required for state.kind = custom")
+        for key, value in (("state.width", self.state_width),
+                           ("constants.h_density", self.h_density)):
+            if not value > 0:
+                problems.append(f"{key}: must be positive")
+        if self.state_s not in (1, -1):
+            problems.append("state.s: must be +1 or -1")
+        if self.state_pol not in ("H", "V"):
+            problems.append("state.lambda: must be H or V")
+        problems += [f"checks: unknown check {name!r}"
+                     for name in self.checks if name not in ALL_CHECKS]
+        problems += [f"tolerances.{name}: must be a finite number >= 0, got {tol!r}"
+                     for name, tol in self.tolerances.items() if not 0 <= tol < math.inf]
+        boosts = [_build(problems, "boosts", make_boost, beta) for beta in self.boosts]
+        if problems:
+            raise ConfigError(problems)
+        self.boosts, self.checks = [b.beta for b in boosts], tuple(self.checks)
+
     def tolerance(self, check: str) -> float:
         return self.tolerances.get(check, DEFAULT_TOLERANCES[check])
 
@@ -106,21 +130,46 @@ class ScenarioReport:
         return all(c.passed and not c.errored for c in self.checks)
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return value
+
+
+# Config key -> (what it sets, name, value type).  A "config" key sets a
+# ScenarioConfig field, a "grid" or "constants" key an argument of its Axis
+# or its FieldConstants, and a "tolerances" key one check's tolerance.  The
+# defaults are those of ScenarioConfig and FieldConstants; Axis has none.
+_KEYS = {
+    "grid.start": ("grid", "start", float),
+    "grid.step": ("grid", "step", float),
+    "grid.count": ("grid", "count", int),
+    "constants.c": ("constants", "c", float),
+    "constants.hbar": ("constants", "hbar", float),
+    "constants.epsilon": ("constants", "epsilon", float),
+    "constants.area": ("constants", "area", float),
+    "constants.h_density": ("config", "h_density", float),
+    "state.kind": ("config", "state_kind", str),
+    "state.center": ("config", "state_center", float),
+    "state.width": ("config", "state_width", float),
+    "state.carrier_k": ("config", "state_carrier_k", float),
+    "state.amplitude": ("config", "state_amplitude", float),
+    "state.s": ("config", "state_s", int),
+    "state.lambda": ("config", "state_pol", str),
+    "state.file": ("config", "state_file", str),
+    "boosts": ("config", "boosts", list),
+    "checks": ("config", "checks", list),
+    "output_dir": ("config", "output_dir", str),
+    **{f"tolerances.{name}": ("tolerances", name, float) for name in ALL_CHECKS},
+}
+# How a value's text becomes each type; a list is comma-separated text items.
+_CONVERT = {float: _finite, int: int, str: str,
+            list: lambda text: [item.strip() for item in text.split(",") if item.strip()]}
 
 
 def _parse_config_text(text: str) -> dict:
-    """Flat dotted-key parser: `a.b = value`, `#` comments, comma lists."""
+    """Flat dotted-key parser: `a.b = value` and `#` comments; values stay text."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -129,18 +178,25 @@ def _parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError([f"line {lineno}: expected 'key = value'"])
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in ("boosts", "checks"):
-            items = [v.strip() for v in value.split(",") if v.strip()]
-            out[key] = [_parse_scalar(v) for v in items]
-        else:
-            out[key] = _parse_scalar(value)
+        out[key] = value
     return out
+
+
+def _build(problems, keys: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, or None with its ValueError as a problem of `keys`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        problems.append(f"{keys}: {exc}")
+        return None
 
 
 def load_config(path) -> ScenarioConfig:
     """Parse and validate a scenario config file.
 
-    All validation problems are aggregated into one ConfigError.
+    Each value is converted by its key's type in `_KEYS`; Axis,
+    FieldConstants, make_boost and ScenarioConfig then check their own
+    rules.  All validation problems are aggregated into one ConfigError.
     """
     path = Path(path)
     if not path.is_file():
@@ -148,98 +204,31 @@ def load_config(path) -> ScenarioConfig:
     text = path.read_text()
     raw = _parse_config_text(text)
     problems = []
+    args = {"config": {}, "grid": {}, "constants": {}, "tolerances": {}}
+    for key, value in raw.items():
+        if key not in _KEYS:
+            problems.append(f"{key}: unknown key")
+            continue
+        group, name, kind = _KEYS[key]
+        try:
+            args[group][name] = _CONVERT[kind](value)
+        except ValueError as exc:
+            problems.append(f"{key}: {exc}")
 
-    def take(key, default=None, kind=None):
-        if key not in raw:
-            if default is None and kind is not None:
-                problems.append(f"{key}: missing required key")
-                return None
-            return default
-        val = raw.pop(key)
-        if kind is not None and not isinstance(val, kind):
-            if kind is float and isinstance(val, int):
-                return float(val)
-            problems.append(f"{key}: expected {kind.__name__}, got {val!r}")
-            return default
-        return val
-
-    start = take("grid.start", kind=float)
-    step = take("grid.step", kind=float)
-    count = take("grid.count", kind=int)
-    grid = None
-    if None not in (start, step, count):
-        if count % 2 != 0:
-            problems.append("grid.count: must be even")
-        elif step <= 0 or count < 2:
-            problems.append("grid: step must be > 0 and count >= 2")
-        else:
-            grid = Axis(start=start, step=step, count=count)
-
-    c = take("constants.c", 1.0, float)
-    hbar = take("constants.hbar", 1.0, float)
-    epsilon = take("constants.epsilon", 1.0, float)
-    area = take("constants.area", 1.0, float)
-    h_density = take("constants.h_density", 1.0, float)
-    for name, v in (("constants.c", c), ("constants.hbar", hbar),
-                    ("constants.epsilon", epsilon), ("constants.area", area),
-                    ("constants.h_density", h_density)):
-        if v is not None and v <= 0:
-            problems.append(f"{name}: must be positive")
-
-    kind = take("state.kind", "gaussian")
-    if kind not in ("gaussian", "gaussian_carrier", "custom"):
-        problems.append(f"state.kind: unknown kind {kind!r}")
-    center = take("state.center", 0.0, float)
-    width = take("state.width", 1.0, float)
-    if width is not None and width <= 0:
-        problems.append("state.width: must be positive")
-    carrier_k = take("state.carrier_k", 0.0, float)
-    amplitude = take("state.amplitude", 1.0, float)
-    s_flag = take("state.s", 1, int)
-    if s_flag not in (1, -1):
-        problems.append("state.s: must be +1 or -1")
-    pol = take("state.lambda", "H")
-    if pol not in ("H", "V"):
-        problems.append("state.lambda: must be H or V")
-    state_file = take("state.file", "")
-    if kind == "custom" and not state_file:
-        problems.append("state.file: required for state.kind = custom")
-
-    boosts = take("boosts", [])
-    for b in boosts:
-        if not isinstance(b, (int, float)) or not abs(b) < 1:
-            problems.append(f"boosts: |beta| must be < 1, got {b!r}")
-    checks = tuple(take("checks", list(ALL_CHECKS)))
-    for name in checks:
-        if name not in ALL_CHECKS:
-            problems.append(f"checks: unknown check {name!r}")
-    output_dir = take("output_dir", "out")
-
-    tolerances = {}
-    for key in list(raw):
-        if key.startswith("tolerances."):
-            name = key.split(".", 1)[1]
-            if name not in ALL_CHECKS:
-                problems.append(f"{key}: unknown check")
-                continue
-            tol = raw.pop(key)
-            if isinstance(tol, str) or not 0 <= tol < math.inf:
-                problems.append(f"{key}: must be a finite number >= 0, got {tol!r}")
-            else:
-                tolerances[name] = float(tol)
-    if raw:
-        problems.extend(f"{key}: unknown key" for key in sorted(raw))
+    grid_keys = [key for key, (group, _, _) in _KEYS.items() if group == "grid"]
+    problems += [f"{key}: missing required key" for key in grid_keys if key not in raw]
+    fields = {**args["config"], "tolerances": args["tolerances"], "source_text": text}
+    fields["grid"] = (_build(problems, ", ".join(grid_keys), Axis, **args["grid"])
+                      if len(args["grid"]) == len(grid_keys) else None)
+    constant_keys = ", ".join(f"constants.{name}" for name in args["constants"])
+    fields["constants"] = _build(problems, constant_keys, FieldConstants, **args["constants"])
+    try:  # even with a bad grid, so that one ConfigError lists every problem
+        config = ScenarioConfig(**fields)
+    except ConfigError as exc:
+        problems += exc.problems
     if problems:
         raise ConfigError(problems)
-    return ScenarioConfig(
-        grid=grid, constants=FieldConstants(c=c, hbar=hbar, epsilon=epsilon, area=area),
-        h_density=h_density, state_kind=kind, state_center=center,
-        state_width=width, state_carrier_k=carrier_k,
-        state_amplitude=amplitude, state_s=s_flag, state_pol=pol,
-        state_file=state_file or None, boosts=[float(b) for b in boosts],
-        checks=checks, output_dir=output_dir, tolerances=tolerances,
-        source_text=text,
-    )
+    return config
 
 
 def _build_amplitude(config: ScenarioConfig, config_dir: Path) -> SampledFunction:
@@ -265,10 +254,13 @@ def _build_amplitude(config: ScenarioConfig, config_dir: Path) -> SampledFunctio
 
 def _record(name, expected, measured, tolerance, diagnostics=None) -> CheckRecord:
     """rel_error is the absolute error when `expected` is 0, so a check of a
-    quantity that should vanish gates on its absolute error.
+    quantity that should vanish gates on its absolute error.  A non-finite
+    value or error makes the record errored: it can neither pass nor fail.
     """
     abs_error = abs(measured - expected)
     rel_error = abs_error / abs(expected) if expected != 0 else abs_error
+    if not all(map(math.isfinite, (expected, measured, abs_error, rel_error))):
+        return _errored(name, tolerance, "non-finite result")
     return CheckRecord(name=name, expected=expected, measured=measured,
                        abs_error=abs_error, rel_error=rel_error,
                        tolerance=tolerance, passed=bool(rel_error <= tolerance),
@@ -316,8 +308,12 @@ class _Boosted:
     def __init__(self, src: _Source, boost):
         self.src = src
         self.boost = boost
-        grid, kap = src.config.grid, kappa(src.s, boost)
-        self.target = Axis(start=grid.start * kap, step=grid.step * kap, count=grid.count)
+
+    @cached_property
+    def target(self) -> Axis:
+        # Built inside a check, so that a stretch that overflows errors it.
+        grid, kap = self.src.config.grid, kappa(self.src.s, self.boost)
+        return Axis(start=grid.start * kap, step=grid.step * kap, count=grid.count)
 
     @cached_property
     def packet(self) -> Field:
@@ -465,26 +461,14 @@ def _run_check(name, src: _Source, b: _Boosted, tol) -> CheckRecord:
 def _finalize(config: ScenarioConfig, checks, out_dir: Path) -> ScenarioReport:
     meta = {
         "config_hash": hashlib.sha256(config.source_text.encode()).hexdigest(),
-        "grid": {"start": config.grid.start, "step": config.grid.step,
-                 "count": config.grid.count},
+        "grid": asdict(config.grid),
         "constants": {**asdict(config.constants), "h_density": config.h_density},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     report = ScenarioReport(meta=meta, checks=checks)
-    payload = {
-        "meta": meta,
-        "checks": [{
-            "name": c.name,
-            "expected": c.expected,
-            "measured": c.measured,
-            "abs_error": c.abs_error,
-            "rel_error": c.rel_error,
-            "tolerance": c.tolerance,
-            "pass": c.passed,
-            "errored": c.errored,
-            "diagnostics": c.diagnostics,
-        } for c in checks],
-    }
+    payload = asdict(report)
+    for rec in payload["checks"]:
+        rec["pass"] = rec.pop("passed")
     (out_dir / "report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return report

@@ -1,9 +1,17 @@
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from lcfield import grid
 from lcfield.grid import (
     Axis,
     Field,
+    FieldConstants,
     Representation,
     SampledFunction,
     boost_field,
@@ -55,6 +63,14 @@ class TestAxis:
         with pytest.raises(ValueError):
             Axis(start=0.0, step=1.0, count=0)
 
+    @pytest.mark.parametrize("start, step", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf),
+        (1e308, 1e308),  # finite start and step, but the last point overflows
+    ])
+    def test_rejects_non_finite_points(self, start, step):
+        with pytest.raises(ValueError):
+            Axis(start=start, step=step, count=4)
+
     def test_conjugate_is_symmetric(self):
         ax = make_axis(n=256, span=10.0)
         k = ax.conjugate()
@@ -62,6 +78,34 @@ class TestAxis:
         assert k.step == pytest.approx(2 * np.pi / 10.0)
         assert k.start == pytest.approx(-128 * k.step)
         assert 0.0 in k.points()
+
+
+@pytest.mark.parametrize("name", ["c", "hbar", "epsilon", "area"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_field_constants_finite_and_positive(name, value):
+    with pytest.raises(ValueError):
+        FieldConstants(**{name: value})
+
+
+def test_evaluate_at_matches_interpolant_without_scipy_signal():
+    # One FFT and a direct sum; the chirp-z path (and scipy.signal) stays unused.
+    code = (
+        "import sys, numpy as np\n"
+        "from lcfield.grid import Axis, Field, Representation, SampledFunction, "
+        "evaluate_at, trig_interpolate\n"
+        "ax = Axis(start=-100.0, step=200.0 / 2**14, count=2**14)\n"
+        "x = ax.points()\n"
+        "f = SampledFunction(axis=ax, values=np.exp(-x**2 / 288 + 0.6j * x),\n"
+        "                    representation=Representation.POSITION_CHI, s=1)\n"
+        "got = evaluate_at(Field(channels={(1, 'H'): f}), 3.0123, 0.5, 1)\n"
+        "print('scipy.signal' in sys.modules)\n"
+        "want = trig_interpolate(f, Axis(start=2.5123, step=ax.step, count=2))[0][0]\n"
+        "print(abs(got - want) < 1e-14)\n")
+    src = str(pathlib.Path(grid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines() == ["False", "True"]
 
 
 class TestSampledFunction:

@@ -37,6 +37,10 @@ output_dir = {out}
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
+FLOAT_KEYS = ["grid.start", "grid.step", "constants.c", "constants.hbar",
+              "constants.epsilon", "constants.area", "constants.h_density",
+              "state.center", "state.width", "state.carrier_k", "state.amplitude"]
+
 
 @pytest.fixture(scope="module")
 def shipped_run(tmp_path_factory):
@@ -122,6 +126,20 @@ class TestLoadConfig:
         assert "mystery.key" in text
         assert "bogus" in text
 
+    def test_owner_rules_name_keys(self, tmp_path):
+        # FieldConstants and make_boost own these rules; the problems name keys.
+        path = write_cfg(tmp_path, extra="constants.area = -1\nboosts = 0.5, -1\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert [p.split(":")[0] for p in exc.value.problems] == [
+            "constants.area", "boosts"]
+
+    def test_values_stay_text_until_typed(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, out="5", extra="state.lambda = V\n"))
+        assert cfg.output_dir == "5"
+        assert cfg.state_pol == "V"
+        assert cfg.grid.count == 2048 and isinstance(cfg.grid.start, float)
+
     def test_custom_requires_file(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("grid.start = 0.0\ngrid.step = 1.0\n"
@@ -174,6 +192,22 @@ class TestRunScenario:
                           tolerance=1e-10, passed=False)
         with pytest.raises(ValueError):
             scenario._finalize(cfg, [rec], tmp_path)
+
+    @pytest.mark.parametrize("measured", [math.nan, math.inf])
+    def test_non_finite_record_errored(self, measured):
+        rec = scenario._record("parseval", 0.0, measured, 1e-10)
+        assert rec.errored and not rec.passed
+        assert rec.diagnostics == {"error": "non-finite result"}
+
+    def test_non_finite_boost_not_dropped(self, tmp_path, monkeypatch):
+        # A NaN at the second boost must not lose to the first boost's record.
+        def fake(src, b):
+            return 1.0, math.nan if b.boost.beta == 0.5 else 1.0, {}
+        monkeypatch.setitem(scenario._BOOST_CHECKS, "naive_energy_ratio", fake)
+        path = write_cfg(tmp_path, checks="naive_energy_ratio",
+                         extra="boosts = 0.3, 0.5\n")
+        (rec,) = run_scenario(load_config(path), config_dir=tmp_path).checks
+        assert rec.errored and rec.diagnostics == {"error": "non-finite result"}
 
     def test_failure_reported_not_raised(self, tmp_path):
         # An absurdly tight tolerance turns a passing check into a failure.
@@ -315,6 +349,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "tolerances.parseval" in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("line", [f"{key} = {value}" for key in FLOAT_KEYS
+                                      for value in ("nan", "inf")] + ["boosts = abc"])
+    def test_bad_config_exit_two(self, tmp_path, capsys, line):
+        path = write_cfg(tmp_path, checks="parseval", extra=line + "\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and line.split(" = ")[0] in err
+        assert not (tmp_path / "out").exists()
+
+    def test_numeric_output_dir_is_a_path(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, checks="parseval", out="5")
+        assert main(["run", str(path)]) == 0
+        assert (tmp_path / "5" / "report.json").is_file()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_results_errored_and_reported(self, tmp_path, capsys):
+        # A finite amplitude whose energy overflows: NaN and inf results.
+        path = write_cfg(tmp_path, extra="state.amplitude = 1e160\n")
+        assert main(["run", str(path)]) == 1
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        errored = {c["name"]: c["diagnostics"] for c in payload["checks"] if c["errored"]}
+        assert errored == dict.fromkeys(
+            ["doppler_centroid", "box_energy_conservation", "naive_energy_ratio",
+             "parseval"], {"error": "non-finite result"})
 
     def test_invalid_config_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
