@@ -68,7 +68,9 @@ def _cmd_check_all(args) -> int:
 
 def _cmd_export_kernel(args, config) -> int:
     kernel = RegularisationKernel(config.grid.conjugate(), config.constants)
-    out = Path(args.output) if args.output else Path(config.output_dir) / "kernel.csv"
+    # output_dir is relative to the config, as for `run`; -o to the current directory.
+    out = (Path(args.output) if args.output
+           else Path(args.config).parent / config.output_dir / "kernel.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     kernel.export_csv(out)
     print(f"kernel multiplier table written to {out}")

@@ -31,6 +31,7 @@ __all__ = [
     "resample",
     "boost_field",
     "trig_interpolate",
+    "write_table",
     "write_csv",
     "read_csv",
     "LEAKAGE_THRESHOLD",
@@ -270,11 +271,26 @@ def boost_field(field: Field, boost: BoostParams, target: Axis, power: float) ->
     return field.map(one)
 
 
+def write_table(path, header: str, columns) -> None:
+    """Write a header line, then one `%.17g`-formatted CSV row per index of
+    the equal-length float `columns`, every line ending in CRLF: the bytes
+    of np.savetxt(..., fmt="%.17g", delimiter=",", newline="\r\n").
+
+    Rows are formatted a block at a time by one string operation, and never
+    all at once, so memory does not grow with the file.
+    """
+    rows_per_block = 4096
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for lo in range(0, len(columns[0]), rows_per_block):
+            block = np.column_stack([c[lo:lo + rows_per_block] for c in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_csv(f: SampledFunction, path) -> None:
     """Write `coordinate,re,im` rows, coordinates ascending, 17 sig digits."""
-    np.savetxt(path, np.column_stack([f.axis.points(), f.values.real, f.values.imag]),
-               fmt="%.17g", delimiter=",", header="coordinate,re,im",
-               comments="", newline="\r\n")
+    write_table(path, "coordinate,re,im", [f.axis.points(), f.values.real, f.values.imag])
 
 
 def read_csv(path, representation: Representation, s: int,

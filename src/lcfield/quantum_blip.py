@@ -20,7 +20,7 @@ import numpy as np
 
 from . import spectral
 from .grid import (Axis, Field, FieldConstants, SampledFunction, boost_field,
-                   l2_distance, norm)
+                   l2_distance, norm, write_table)
 from .grid import resample  # noqa: F401 (perfbench patches it)
 from .kinematics import BoostParams
 
@@ -88,24 +88,23 @@ class RegularisationKernel:
 
     def export_csv(self, path) -> None:
         """Write `k,m_re,m_im` rows for audit."""
-        np.savetxt(path, np.column_stack([self.k_axis.points(), self.multiplier,
-                                          np.zeros(self.k_axis.count)]),
-                   fmt="%.17g", delimiter=",", header="k,m_re,m_im",
-                   comments="", newline="\r\n")
+        write_table(path, "k,m_re,m_im", [self.k_axis.points(), self.multiplier,
+                                          np.zeros(self.k_axis.count)])
 
 
-def field_matrix_element(state: Field, s: int) -> SampledFunction:
+def field_matrix_element(mstate: Field, s: int, target: Axis) -> SampledFunction:
     """Vacuum-to-one-photon matrix element of the electric field for the
-    H channel with direction s: int c * R(chi - chi') * psi(chi') dchi',
-    computed as the sqrt(|k|) Fourier multiplier.
+    H channel with direction s: int c * R(chi - chi') * psi(chi') dchi' on
+    the chi axis `target`, computed as the sqrt(|k|) Fourier multiplier.
 
-    The magnetic counterpart is s * result / c.
+    `mstate` is the state's momentum representation,
+    `to_momentum_state(state)` of a state sampled on `target`.  The
+    magnetic counterpart is s * result / c.
     """
-    f = state.channel(s, "H")
-    ft = spectral.to_momentum(f)
-    kernel = RegularisationKernel(ft.axis, state.constants)
-    out = ft.with_values(kernel.multiplier * ft.values)
-    return spectral.to_position(out, target=f.axis)
+    ft = mstate.channel(s, "H")
+    kernel = RegularisationKernel(ft.axis, mstate.constants)
+    return spectral.to_position(ft.with_values(kernel.multiplier * ft.values),
+                                target=target)
 
 
 @dataclass(frozen=True)
@@ -114,24 +113,22 @@ class KernelCheckReport:
     leakage: float
 
 
-def kernel_consistency_check(me_A: SampledFunction, boosted: Field,
+def kernel_consistency_check(me_A: SampledFunction, me_B: SampledFunction,
                              boost: BoostParams) -> KernelCheckReport:
-    """Check that the field matrix element of the boosted state `boosted`
-    matches the classical-field transformation xi * E_A(xi * chi_B) of
-    `me_A`, the matrix element `field_matrix_element(state, s)` of the
-    unboosted state.  Both sides are computed by independent code paths;
-    agreement witnesses the |u|^{-3/2} kernel homogeneity R(kappa*u) =
-    kappa^{-3/2} R(u).
+    """Check that `me_B`, the field matrix element of the boosted state,
+    matches the classical-field transformation xi * E_A(xi * chi) of `me_A`,
+    the matrix element of the unboosted state.  The two sides are computed
+    by independent code paths; agreement witnesses the |u|^{-3/2} kernel
+    homogeneity R(kappa*u) = kappa^{-3/2} R(u).
     """
     s = me_A.s
-    rhs = boost_field(Field(channels={(s, "H"): me_A}), boost,
-                      boosted.channel(s, "H").axis, power=1).channel(s)
-    lhs = field_matrix_element(boosted, s)
-    ref = norm(lhs)
-    num = l2_distance(lhs, rhs)
+    rhs = boost_field(Field(channels={(s, "H"): me_A}), boost, me_B.axis,
+                      power=1).channel(s)
+    ref = norm(me_B)
+    num = l2_distance(me_B, rhs)
     disc = num / ref if ref > 0 else num
     return KernelCheckReport(rel_l2_discrepancy=disc,
-                             leakage=max(lhs.leakage, rhs.leakage))
+                             leakage=max(me_B.leakage, rhs.leakage))
 
 
 def finite_part_convolution(psi, chi_points, constants: FieldConstants = FieldConstants(),

@@ -240,16 +240,19 @@ def _build_amplitude(config: ScenarioConfig, config_dir: Path) -> SampledFunctio
                      config.state_pol)
         if f.axis != config.grid:
             raise ValueError("custom sample grid does not match grid spec")
-        return f
-    chi = config.grid.points()
-    vals = config.state_amplitude * np.exp(
-        -((chi - config.state_center) ** 2) / (2.0 * config.state_width ** 2))
-    vals = vals.astype(complex)
-    if config.state_kind == "gaussian_carrier":
-        vals *= np.exp(1j * config.state_s * config.state_carrier_k * chi)
-    return SampledFunction(axis=config.grid, values=vals,
-                           representation=Representation.POSITION_CHI,
-                           s=config.state_s, pol=config.state_pol)
+    else:
+        chi = config.grid.points()
+        vals = config.state_amplitude * np.exp(
+            -((chi - config.state_center) ** 2) / (2.0 * config.state_width ** 2))
+        vals = vals.astype(complex)
+        if config.state_kind == "gaussian_carrier":
+            vals *= np.exp(1j * config.state_s * config.state_carrier_k * chi)
+        f = SampledFunction(axis=config.grid, values=vals,
+                            representation=Representation.POSITION_CHI,
+                            s=config.state_s, pol=config.state_pol)
+    if not np.any(f.values):
+        raise ValueError("input amplitude is zero everywhere")
+    return f
 
 
 def _record(name, expected, measured, tolerance, diagnostics=None) -> CheckRecord:
@@ -286,12 +289,21 @@ class _Source:
         constants = config.constants
         self.packet = Field(channels={(s, "H"): amp.with_values(amp.values, pol="H")},
                             constants=constants)
-        nrm = math.sqrt(qb.photon_number(
-            Field(channels={(s, config.state_pol): amp}, constants=constants)))
-        blip_amp = amp.with_values(amp.values / nrm) if nrm > 0 else amp
-        self.state = Field(channels={(s, config.state_pol): blip_amp},
-                           constants=constants)
+        # Divided first by a power of two within a factor 2 of the peak, so
+        # that |amp|**2 cannot overflow.  That division is exact (short of a
+        # subnormal result), so a state whose norm did not overflow before
+        # keeps its bits.
+        peak = float(np.max(np.abs(amp.values)))
+        scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+        unit = Field(channels={(s, config.state_pol): amp.with_values(
+            amp.values / scale)}, constants=constants)
+        nrm = math.sqrt(qb.photon_number(unit))
+        self.state = unit.map(lambda f: f.with_values(f.values / nrm))
         self._memo = {}
+
+    @cached_property
+    def momentum_state(self) -> Field:
+        return qb.to_momentum_state(self.state)
 
     def once(self, key: str, compute):
         """`compute()`, evaluated on the first call with `key` only."""
@@ -322,6 +334,10 @@ class _Boosted:
     @cached_property
     def state(self) -> Field:
         return boost_field(self.src.state, self.boost, self.target, power=0.5)
+
+    @cached_property
+    def momentum_state(self) -> Field:
+        return qb.to_momentum_state(self.state)
 
 
 def run_scenario(config: ScenarioConfig, config_dir: Path | None = None) -> ScenarioReport:
@@ -419,17 +435,19 @@ def _photon_number_conservation(src: _Source, b: _Boosted):
 
 def _momentum_path_commutativity(src: _Source, b: _Boosted):
     key = (src.s, src.config.state_pol)
-    via_chi = qb.to_momentum_state(b.state).channel(*key)
-    mom_a = src.once("momentum_state", lambda: qb.to_momentum_state(src.state))
-    via_k = boost_field(mom_a, b.boost, via_chi.axis, power=0.5).channel(*key)
+    via_chi = b.momentum_state.channel(*key)
+    via_k = boost_field(src.momentum_state, b.boost, via_chi.axis,
+                        power=0.5).channel(*key)
     return 0.0, l2_distance(via_chi, via_k), {}
 
 
 def _kernel_consistency(src: _Source, b: _Boosted):
     if src.config.state_pol != "H":
         raise ValueError("kernel_consistency needs an H-polarized state")
-    me_a = src.once("matrix_element", lambda: qb.field_matrix_element(src.state, src.s))
-    rep = qb.kernel_consistency_check(me_a, b.state, b.boost)
+    me_a = src.once("matrix_element", lambda: qb.field_matrix_element(
+        src.momentum_state, src.s, src.config.grid))
+    me_b = qb.field_matrix_element(b.momentum_state, src.s, b.target)
+    rep = qb.kernel_consistency_check(me_a, me_b, b.boost)
     return 0.0, rep.rel_l2_discrepancy, {"leakage": rep.leakage}
 
 

@@ -8,6 +8,7 @@ about zero, so negative wave numbers are always present.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,22 +18,68 @@ from .grid import Axis, Representation, SampledFunction, norm
 __all__ = ["to_momentum", "to_position", "parseval_check", "ParsevalReport"]
 
 
-def _signed_dft(values: np.ndarray, x0: float, dx: float, k0: float,
-                dk: float, sign: int) -> np.ndarray:
-    """Compute out[m] = sum_j values[j] * exp(i*sign*k_m*x_j) for the two
-    uniform grids x_j = x0 + j*dx and k_m = k0 + m*dk with dk*dx = 2*pi/N.
+def _turns(r: float, q: np.ndarray) -> np.ndarray:
+    """r*q mod 1, in [-1/2, 1/2], for a float r and integers |q| < 2**40,
+    to an eps or two however large r*q is (exact phase reduction: Bailey &
+    Swarztrauber, SIAM Rev. 1991).
+
+    r's significand is split into 13-bit chunks, so that each chunk times q
+    is exact and loses nothing when reduced mod 1.
+    """
+    significand, exponent = math.frexp(r)
+    bits = int(abs(significand) * 2.0 ** 53)  # |r| = bits * 2**(exponent - 53)
+    q = np.asarray(q, dtype=float)
+    out = np.zeros(q.shape)
+    part = np.empty(q.shape)
+    for shift in range(0, 53, 13):
+        chunk = math.ldexp((bits >> shift) & 0x1FFF, exponent - 53 + shift)
+        np.multiply(q, math.copysign(chunk, r), out=part)
+        part -= np.rint(part)  # nearest, not floor: a tiny part stays exact
+        out += part
+    out -= np.rint(out)
+    return out
+
+
+def _linear_phase(r: float, n: int) -> np.ndarray:
+    """exp(2*pi*i*r*q) for q = -n/2 ... n/2 - 1.
+
+    q = -n/2 + width*h + l makes the vector the outer product of a coarse
+    table (over h) and a fine one (over l), so it takes about 2*sqrt(n)
+    complex exps instead of n.
+    """
+    width = 1 << (n.bit_length() // 2)
+    coarse = np.exp(2j * np.pi * _turns(r, np.arange(-(n // 2), n // 2, width)))
+    fine = np.exp(2j * np.pi * _turns(r, np.arange(width)))
+    return np.multiply.outer(coarse, fine).ravel()[:n]
+
+
+def _signed_dft(values: np.ndarray, offset: float, sign: int, to_k: bool) -> np.ndarray:
+    """The sums of values * exp(i*sign*k*chi) between the chi axis
+    chi_j = (offset + j)*dx and its conjugate k axis k_m = (m - n/2)*dk,
+    dk*dx = 2*pi/n: over j, giving out[m], when `to_k`; else over m,
+    giving out[j].
+
+    k*chi*n/(2*pi) = (m - n/2)*(offset + j) = offset*(m - n/2) + m*j - (n/2)*j.
+    The first term is a linear phase on the k index, reduced exactly; the
+    second is the FFT; the last is (-1)**j, a sign flip on every other chi
+    sample.
     """
     n = len(values)
-    j = np.arange(n)
-    m = np.arange(n)
-    # exp(i*sign*k_m*x_j) factors as exp(i*sign*k0*x_j) * exp(i*sign*m*dk*x0)
-    # * exp(i*sign*2pi*m*j/N); the last factor is a plain (i)FFT.
-    inner = values.astype(complex) * np.exp(1j * sign * k0 * (x0 + j * dx))
-    if sign == -1:
-        core = np.fft.fft(inner)
+    phase = _linear_phase(sign * offset / n, n)
+    out = np.array(values, dtype=complex)
+    if to_k:
+        out[1::2] *= -1
     else:
-        core = n * np.fft.ifft(inner)
-    return core * np.exp(1j * sign * m * dk * x0)
+        out *= phase
+    if sign == -1:
+        np.fft.fft(out, out=out)
+    else:
+        np.fft.ifft(out, norm="forward", out=out)
+    if to_k:
+        out *= phase
+    else:
+        out[1::2] *= -1
+    return out
 
 
 def to_momentum(f: SampledFunction) -> SampledFunction:
@@ -40,8 +87,7 @@ def to_momentum(f: SampledFunction) -> SampledFunction:
     if f.representation is not Representation.POSITION_CHI:
         raise ValueError("to_momentum requires a position-chi function")
     k_axis = f.axis.conjugate()
-    out = _signed_dft(f.values, f.axis.start, f.axis.step,
-                      k_axis.start, k_axis.step, sign=-f.s)
+    out = _signed_dft(f.values, f.axis.start / f.axis.step, sign=-f.s, to_k=True)
     out *= f.axis.step / np.sqrt(2.0 * np.pi)
     return SampledFunction(axis=k_axis, values=out,
                            representation=Representation.MOMENTUM_K,
@@ -56,12 +102,14 @@ def to_position(f: SampledFunction, target: Axis | None = None) -> SampledFuncti
     """
     if f.representation is not Representation.MOMENTUM_K:
         raise ValueError("to_position requires a momentum-k function")
+    n = f.axis.count
+    if not math.isclose(f.axis.start, -(n // 2) * f.axis.step, rel_tol=1e-12):
+        raise ValueError("k axis is not symmetric about zero (see Axis.conjugate)")
     chi_axis = target if target is not None else f.axis.conjugate()
-    if chi_axis.count != f.axis.count or not np.isclose(
-            chi_axis.step * f.axis.step * f.axis.count, 2.0 * np.pi):
+    if chi_axis.count != n or not np.isclose(chi_axis.step * f.axis.step * n,
+                                             2.0 * np.pi):
         raise ValueError("target chi axis is not conjugate to the k grid")
-    out = _signed_dft(f.values, f.axis.start, f.axis.step,
-                      chi_axis.start, chi_axis.step, sign=+f.s)
+    out = _signed_dft(f.values, chi_axis.start / chi_axis.step, sign=+f.s, to_k=False)
     out *= f.axis.step / np.sqrt(2.0 * np.pi)
     return SampledFunction(axis=chi_axis, values=out,
                            representation=Representation.POSITION_CHI,

@@ -317,6 +317,20 @@ class TestCsv:
         # Compared by bits: assert_array_equal takes -0.0 == 0.0.
         np.testing.assert_array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
 
+    def test_bytes_match_savetxt(self, tmp_path):
+        # More rows than one formatting block, and values whose text is special.
+        f = unit_gaussian(make_axis(n=10000, span=80.0), carrier=1.0)
+        vals = f.values.copy()
+        vals[:4] = [complex(-0.0, 5e-324), complex(np.nan, np.inf),
+                    complex(-np.inf, 1e300), complex(-1e-300, -0.0)]
+        f = position_fn(f.axis, vals)
+        write_csv(f, tmp_path / "f.csv")
+        np.savetxt(tmp_path / "ref.csv",
+                   np.column_stack([f.axis.points(), f.values.real, f.values.imag]),
+                   fmt="%.17g", delimiter=",", header="coordinate,re,im",
+                   comments="", newline="\r\n")
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_header_format(self, tmp_path):
         f = unit_gaussian(make_axis(n=8, span=8.0))
         path = tmp_path / "f.csv"

@@ -46,6 +46,11 @@ def unit_state(**kw):
     return Field(channels={(f.s, f.pol): f})
 
 
+def matrix_element(state):
+    """field_matrix_element of a chi-representation state, on its own axis."""
+    return field_matrix_element(to_momentum_state(state), 1, state.channel(1).axis)
+
+
 def scaled_axis(axis, factor):
     return Axis(start=axis.start * factor, step=axis.step * factor,
                 count=axis.count)
@@ -257,19 +262,29 @@ class TestRegularisationKernel:
         assert lines[0] == "k,m_re,m_im"
         assert len(lines) == N + 1
 
+    def test_export_csv_bytes_match_savetxt(self, tmp_path):
+        kern = RegularisationKernel(AXIS.conjugate())
+        kern.export_csv(tmp_path / "kernel.csv")
+        np.savetxt(tmp_path / "ref.csv",
+                   np.column_stack([AXIS.conjugate().points(), kern.multiplier,
+                                    np.zeros(N)]),
+                   fmt="%.17g", delimiter=",", header="k,m_re,m_im",
+                   comments="", newline="\r\n")
+        assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 class TestFieldMatrixElement:
     def test_zero_state(self):
         zero = SampledFunction(axis=AXIS, values=np.zeros(N),
                                representation=Representation.POSITION_CHI, s=1)
-        me = field_matrix_element(Field(channels={(1, "H"): zero}), 1)
+        me = matrix_element(Field(channels={(1, "H"): zero}))
         assert np.all(me.values == 0)
 
     def test_sqrt_carrier_scaling(self):
         # near-monochromatic state: peak |E| scales as sqrt(k0)
         k1, k2 = 1.0, 2.0
-        m1 = field_matrix_element(unit_state(width=12.0, carrier=k1), 1)
-        m2 = field_matrix_element(unit_state(width=12.0, carrier=k2), 1)
+        m1 = matrix_element(unit_state(width=12.0, carrier=k1))
+        m2 = matrix_element(unit_state(width=12.0, carrier=k2))
         ratio = np.abs(m2.values).max() / np.abs(m1.values).max()
         assert ratio == pytest.approx(np.sqrt(2.0), rel=1e-3)
 
@@ -281,7 +296,7 @@ class TestFieldMatrixElement:
                     * np.exp(-x**2 / (2 * w**2)) * np.exp(1j * k0 * x))
 
         state = unit_state(width=w, carrier=k0)
-        me = field_matrix_element(state, 1)
+        me = matrix_element(state)
         idx = np.arange(N // 2 - 250, N // 2 + 250, 10)
         chi = AXIS.points()[idx]
         oracle = finite_part_convolution(psi, chi, inner_radius=1.0,
@@ -292,8 +307,9 @@ class TestFieldMatrixElement:
 
 
 def kernel_check(state, boost, target):
-    return kernel_consistency_check(field_matrix_element(state, 1),
-                                    boost_field(state, boost, target, power=0.5), boost)
+    return kernel_consistency_check(
+        matrix_element(state), matrix_element(boost_field(state, boost, target, power=0.5)),
+        boost)
 
 
 class TestKernelConsistency:
@@ -328,8 +344,8 @@ class TestKernelConsistency:
         # psi_a(chi) = psi(chi / a) on the stretched grid
         psi_a = resample(state.channel(1), scale=1.0 / a, amplitude_factor=1.0,
                          target=target)
-        me_a = field_matrix_element(Field(channels={(1, "H"): psi_a}), 1)
-        me = field_matrix_element(state, 1)
+        me_a = matrix_element(Field(channels={(1, "H"): psi_a}))
+        me = matrix_element(state)
         expected = a ** -0.5 * resample(me, scale=1.0 / a, amplitude_factor=1.0,
                                         target=target).values
         # a^{-3/2} from the kernel times the Jacobian a of the convolution

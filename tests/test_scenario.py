@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from lcfield import scenario
+from lcfield import scenario, spectral
 from lcfield.cli import main
 from lcfield.grid import Axis, FieldConstants, boost_field
 from lcfield.scenario import (
@@ -209,6 +209,47 @@ class TestRunScenario:
         (rec,) = run_scenario(load_config(path), config_dir=tmp_path).checks
         assert rec.errored and rec.diagnostics == {"error": "non-finite result"}
 
+    def test_one_forward_transform_per_state(self, tmp_path, monkeypatch):
+        # Per boost: the boosted state's momentum form, shared by the
+        # momentum-path and kernel checks, its matrix element's way back,
+        # and the boosted packet's spectrum.  Once: the same two for the
+        # source state, the source packet's spectrum and parseval.
+        calls = []
+        signed_dft = spectral._signed_dft
+        monkeypatch.setattr(spectral, "_signed_dft",
+                            lambda *args, **kw: calls.append(1) or signed_dft(*args, **kw))
+        path = write_cfg(tmp_path, extra="boosts = -0.5, 0.3, 0.6\n")
+        assert run_scenario(load_config(path), config_dir=tmp_path).all_passed
+        assert len(calls) == 3 * 3 + 4
+
+    @pytest.mark.parametrize("amplitude", ["1e160", "1e308", "1e-160"])
+    def test_extreme_amplitude_gives_unit_state(self, tmp_path, amplitude):
+        # |amp|**2 overflows (or underflows) unless the state is scaled first.
+        checks = "photon_number_conservation, momentum_path_commutativity, kernel_consistency"
+        path = write_cfg(tmp_path, checks=checks, extra=f"state.amplitude = {amplitude}\n")
+        extreme = run_scenario(load_config(path), config_dir=tmp_path).checks
+        path = write_cfg(tmp_path, checks=checks)
+        plain = run_scenario(load_config(path), config_dir=tmp_path).checks
+        assert extreme[0].expected == pytest.approx(1.0, rel=1e-14)
+        for got, want in zip(extreme, plain):
+            assert got.passed and not got.errored
+            assert got.measured == pytest.approx(want.measured, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "custom"])
+    def test_zero_amplitude_errored(self, tmp_path, capsys, kind):
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("coordinate,re,im\n" + "".join(
+            f"{-40.0 + 0.0390625 * i!r},0,0\n" for i in range(2048)))
+        extra = ("state.amplitude = 0\n" if kind == "gaussian"
+                 else "state.kind = custom\nstate.file = zeros.csv\n")
+        path = write_cfg(tmp_path, extra=extra)
+        assert main(["run", str(path)]) == 1
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(payload["checks"]) == len(ALL_CHECKS)
+        for rec in payload["checks"]:
+            assert rec["errored"] and not rec["pass"]
+            assert rec["diagnostics"] == {"error": "input amplitude is zero everywhere"}
+
     def test_failure_reported_not_raised(self, tmp_path):
         # An absurdly tight tolerance turns a passing check into a failure.
         path = write_cfg(tmp_path, checks="parseval",
@@ -302,6 +343,24 @@ class TestNegativeControls:
         rec = self.records(tmp_path)[check]
         assert not rec.passed and not rec.errored
         assert rec.rel_error > 1e3 * rec.tolerance
+
+
+def test_transform_checks_exact_at_2_18(tmp_path):
+    # The benchmark's sweep packet at N = 2^18 with 19 boosts.  With the
+    # phases of the chi <-> k transforms reduced exactly, neither check
+    # loses accuracy as N grows (they read 8.6e-11 and 1.4e-9 when the
+    # phases k*chi were formed in floating point).
+    n = 2 ** 18
+    path = tmp_path / "big.cfg"
+    path.write_text(
+        f"grid.start = -100.0\ngrid.step = {200.0 / n!r}\ngrid.count = {n}\n"
+        "state.kind = gaussian_carrier\nstate.width = 12.0\n"
+        "state.carrier_k = 0.6283185307179586\n"
+        f"boosts = {', '.join(str(round(0.1 * i, 1)) for i in range(-9, 10))}\n"
+        "checks = momentum_path_commutativity, kernel_consistency\n")
+    momentum, kernel = run_scenario(load_config(path), config_dir=tmp_path).checks
+    assert momentum.rel_error <= 1e-14
+    assert kernel.rel_error <= 1e-11
 
 
 def test_runner_imports_no_scipy_signal_or_integrate(tmp_path):
@@ -410,6 +469,20 @@ class TestCli:
         ms = np.array([float(l.split(",")[1]) for l in lines[1:]])
         np.testing.assert_allclose(ms, np.sqrt(2.0) * np.sqrt(np.abs(ks)),
                                    rtol=1e-12)
+
+    def test_export_kernel_output_dir_relative_to_config(self, tmp_path, monkeypatch, capsys):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        path = write_cfg(sub, out="kout")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["export-kernel", str(path)]) == 0
+        assert (sub / "kout" / "kernel.csv").is_file()
+        assert not (elsewhere / "kout").exists()
+        # An explicit -o stays relative to the current directory.
+        assert main(["export-kernel", str(path), "-o", "k.csv"]) == 0
+        assert (elsewhere / "k.csv").is_file()
 
     def test_version(self, capsys):
         assert main(["version"]) == 0

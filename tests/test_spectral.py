@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from lcfield.grid import Axis, Representation, SampledFunction, norm
-from lcfield.spectral import parseval_check, to_momentum, to_position
+from lcfield.spectral import _turns, parseval_check, to_momentum, to_position
 
 
 def make_axis(n=2048, span=80.0):
@@ -106,10 +108,69 @@ class TestToPosition:
         with pytest.raises(ValueError):
             to_position(unit_gaussian(make_axis()))
 
+    def test_rejects_asymmetric_k_axis(self):
+        kax = make_axis(n=64, span=8.0).conjugate()
+        shifted = Axis(start=kax.start + kax.step / 3, step=kax.step, count=64)
+        with pytest.raises(ValueError, match="symmetric"):
+            to_position(SampledFunction(axis=shifted, values=np.ones(64),
+                                        representation=Representation.MOMENTUM_K, s=1))
+
     def test_rejects_nonconjugate_target(self):
         ft = to_momentum(unit_gaussian(make_axis()))
         with pytest.raises(ValueError):
             to_position(ft, target=Axis(start=0.0, step=1.0, count=2048))
+
+
+def direct_transform(values, chi_axis, sign, to_k):
+    """The O(N^2) sum of values * exp(i*sign*k*chi) * dchi/sqrt(2*pi) between
+    chi_axis and its conjugate k axis, every phase reduced exactly.
+
+    With chi = (offset + i)*dchi and k = (m - n/2)*dk, k*chi/(2*pi) is
+    (m - n/2)*(offset + i)/n; offset is a binary fraction p/q, so that is
+    the integer (m - n/2)*(p + i*q) over n*q, reduced mod n*q in integers.
+    """
+    n = chi_axis.count
+    p, q = (chi_axis.start / chi_axis.step).as_integer_ratio()
+    i = np.arange(n, dtype=object)
+    turns = np.multiply.outer(i - n // 2, p + i * q) % (n * q) / (n * q)
+    kernel = np.exp(2j * np.pi * sign * turns.astype(float))  # [m, i]
+    out = (kernel if to_k else kernel.T) @ values
+    return out * (chi_axis.step if to_k else chi_axis.conjugate().step) / np.sqrt(2 * np.pi)
+
+
+class TestSignedDft:
+    """Both transforms against the exactly phased direct sum.  The starts
+    include offsets start/step that are not integers, and a grid far from
+    zero, whose phases k*chi reach ~1e7 rad at N = 256.
+    """
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("start", [None, 0.0, 0.37, -12.3456789, 1e3, -7.7e5])
+    @pytest.mark.parametrize("s", [+1, -1])
+    def test_matches_direct_sum(self, n, start, s):
+        step = 0.3
+        chi_axis = Axis(start=-(n // 2) * step if start is None else start,
+                        step=step, count=n)
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ft = to_momentum(position_fn(chi_axis, values, s=s))
+        want = direct_transform(values, chi_axis, -s, to_k=True)
+        assert np.abs(ft.values - want).max() <= 1e-13 * np.abs(want).max()
+        mom = SampledFunction(axis=chi_axis.conjugate(), values=values,
+                              representation=Representation.MOMENTUM_K, s=s)
+        f = to_position(mom, target=chi_axis)
+        want = direct_transform(values, chi_axis, s, to_k=False)
+        assert np.abs(f.values - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("r", [0.5, -0.643004109375, 1 / 3, -2.0 ** -40 / 3, 123456.789])
+    def test_turns_exact_mod_one(self, r):
+        q = np.array([0, 1, -1, 12345, -2**39 + 7, 2**40 - 1])
+        got = _turns(r, q)
+        assert np.all(np.abs(got) <= 0.5)
+        # Distance mod 1 from the exact r*q: +-1/2 are the same phase.
+        err = [(Fraction(g) - Fraction(r) * int(k) + Fraction(1, 2)) % 1 - Fraction(1, 2)
+               for g, k in zip(got, q)]
+        assert max(abs(float(e)) for e in err) <= 2.5e-16
 
 
 class TestParseval:
