@@ -99,11 +99,13 @@ class SpectrumResult:
 def spectrum(packet: Field, s: int) -> SpectrumResult:
     """Momentum representation of the E channel plus its centroid."""
     ft = spectral.to_momentum(packet.channel(s))
-    weights = np.abs(ft.values) ** 2
+    weights = np.abs(ft.values)
+    weights **= 2
     total = weights.sum()
     if total == 0.0:
         return SpectrumResult(momentum=ft, centroid=None)
-    centroid = float(np.sum(ft.axis.points() * weights) / total)
+    weights *= ft.axis.points()
+    centroid = float(np.sum(weights) / total)
     return SpectrumResult(momentum=ft, centroid=centroid)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .quantum_blip import RegularisationKernel
-from .scenario import ConfigError, load_config, run_scenario
+from .scenario import ConfigError, load_config, make_output_dir, run_scenario
 
 
 def _report_lines(name, report):
@@ -48,12 +48,11 @@ def _cmd_check_all(args) -> int:
     rows = []
     for path in configs:
         try:
-            config = load_config(path)
+            report = run_scenario(load_config(path), config_dir=path.parent)
         except (FileNotFoundError, ConfigError) as exc:
             rows.append((path.stem, "CONFIG-ERROR", str(exc)))
             failures += 1
             continue
-        report = run_scenario(config, config_dir=path.parent)
         n_bad = sum(1 for c in report.checks if not c.passed or c.errored)
         if report.all_passed:
             rows.append((path.stem, "PASS", f"{len(report.checks)} checks"))
@@ -71,7 +70,7 @@ def _cmd_export_kernel(args, config) -> int:
     # output_dir is relative to the config, as for `run`; -o to the current directory.
     out = (Path(args.output) if args.output
            else Path(args.config).parent / config.output_dir / "kernel.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out.parent)
     kernel.export_csv(out)
     print(f"kernel multiplier table written to {out}")
     return 0
@@ -104,14 +103,12 @@ def main(argv=None) -> int:
         return 0
     if args.command == "check-all":
         return _cmd_check_all(args)
+    command = _cmd_run if args.command == "run" else _cmd_export_kernel
     try:
-        config = load_config(args.config)
+        return command(args, load_config(args.config))
     except (FileNotFoundError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "run":
-        return _cmd_run(args, config)
-    return _cmd_export_kernel(args, config)
 
 
 if __name__ == "__main__":

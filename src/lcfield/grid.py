@@ -22,6 +22,7 @@ __all__ = [
     "Representation",
     "Axis",
     "SampledFunction",
+    "frozen",
     "FieldConstants",
     "Field",
     "evaluate_at",
@@ -83,12 +84,24 @@ class Axis:
         return Axis(start=-(self.count // 2) * dk, step=dk, count=self.count)
 
 
+def frozen(values: np.ndarray) -> np.ndarray:
+    """`values` itself, made read-only: a fresh array handed over to a
+    SampledFunction, which then keeps it without a copy.
+    """
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Complex samples on an axis, tagged with representation, s and pol.
 
     `leakage` records the worst band-limit diagnostic accumulated by the
     resampling operations that produced this function (0 when clean).
+
+    `values` is always read-only.  A complex, read-only array that owns its
+    data is kept as handed over (producers pass `frozen(fresh_array)`);
+    anything else (a writable array, a view, another dtype) is copied first.
     """
 
     axis: Axis
@@ -103,13 +116,14 @@ class SampledFunction:
             raise ValueError(f"direction flag must be +1 or -1, got {self.s!r}")
         if self.pol not in ("H", "V"):
             raise ValueError(f"polarization must be 'H' or 'V', got {self.pol!r}")
-        vals = np.asarray(self.values, dtype=complex)
+        vals = self.values
+        if not (isinstance(vals, np.ndarray) and vals.dtype == complex
+                and not vals.flags.writeable and vals.base is None):
+            vals = frozen(np.array(vals, dtype=complex))
         if vals.shape != (self.axis.count,):
             raise ValueError(
                 f"values shape {vals.shape} does not match axis count {self.axis.count}"
             )
-        vals = vals.copy()
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def with_values(self, values: np.ndarray, **changes) -> "SampledFunction":
@@ -187,16 +201,17 @@ def trig_interpolate(f: SampledFunction, query: Axis) -> tuple[np.ndarray, float
     axis's Nyquist wavenumber pi/query.step (the part it cannot represent).
 
     Queries that are f's samples up to rounding (same count, both end
-    points within 8 eps of the largest |coordinate|) return the samples and
-    no leakage.  Others take one FFT of f and a chirp-z transform, O(N log N)
-    regardless of the query spacing, and read 0 outside f's sampled span,
-    where the interpolant repeats f periodically.
+    points within 8 eps of the largest |coordinate|) return f's read-only
+    samples themselves, not a copy, and no leakage.  Others take one FFT of
+    f and a chirp-z transform, O(N log N) regardless of the query spacing,
+    and read 0 outside f's sampled span, where the interpolant repeats f
+    periodically.
     """
     lo, hi = f.axis.start, f.axis.end
     tol = 8.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
     if (query.count == f.axis.count and abs(query.start - lo) <= tol
             and abs(query.end - hi) <= tol):
-        return f.values.copy(), 0.0
+        return f.values, 0.0
     from scipy.signal import czt  # imported here: on-sample queries never need it
     n = f.axis.count
     u = 2.0 * np.pi / f.axis.span
@@ -246,7 +261,7 @@ def resample(
     out, leak = trig_interpolate(f, query)
     return SampledFunction(
         axis=target,
-        values=amplitude_factor * out,
+        values=frozen(amplitude_factor * out),
         representation=f.representation,
         s=f.s,
         pol=f.pol,
@@ -318,7 +333,9 @@ def read_csv(path, representation: Representation, s: int,
     if step <= 0 or not np.allclose(steps, step, rtol=1e-9, atol=0.0):
         raise ValueError(f"{path}: coordinates must be uniform and ascending")
     axis = Axis(start=float(coords[0]), step=float(step), count=len(coords))
-    # A view, not re + 1j*im, so that every bit (the sign of -0.0 too) survives.
-    values = data[:, 1:].copy().view(complex)[:, 0]
-    return SampledFunction(axis=axis, values=values,
+    # Assigned part by part, not re + 1j*im, so that every bit (the sign
+    # of -0.0 too) survives.
+    values = np.empty(len(data), dtype=complex)
+    values.real, values.imag = data[:, 1], data[:, 2]
+    return SampledFunction(axis=axis, values=frozen(values),
                            representation=representation, s=s, pol=pol)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import spectral
 from .grid import (Axis, Field, FieldConstants, SampledFunction, boost_field,
-                   l2_distance, norm, write_table)
+                   frozen, l2_distance, norm, write_table)
 from .grid import resample  # noqa: F401 (perfbench patches it)
 from .kinematics import BoostParams
 
@@ -81,10 +81,12 @@ class RegularisationKernel:
         self.prefactor = -math.sqrt(
             constants.hbar / (4.0 * math.pi * constants.epsilon
                               * constants.c * constants.area))
-        k = k_axis.points()
-        self.multiplier = (constants.c * self.prefactor
-                           * (-2.0) * np.sqrt(2.0 * np.pi * np.abs(k)))
-        self.multiplier.flags.writeable = False
+        # c * prefactor * (-2) * sqrt(2*pi*|k|), computed in place.
+        m = np.abs(k_axis.points())
+        m *= 2.0 * np.pi
+        np.sqrt(m, out=m)
+        m *= constants.c * self.prefactor * (-2.0)
+        self.multiplier = frozen(m)
 
     def export_csv(self, path) -> None:
         """Write `k,m_re,m_im` rows for audit."""
@@ -103,7 +105,7 @@ def field_matrix_element(mstate: Field, s: int, target: Axis) -> SampledFunction
     """
     ft = mstate.channel(s, "H")
     kernel = RegularisationKernel(ft.axis, mstate.constants)
-    return spectral.to_position(ft.with_values(kernel.multiplier * ft.values),
+    return spectral.to_position(ft.with_values(frozen(kernel.multiplier * ft.values)),
                                 target=target)
 
 

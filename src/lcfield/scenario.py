@@ -25,7 +25,7 @@ from . import classical_field as cf
 from . import quantum_blip as qb
 from . import spectral
 from .grid import (Axis, Field, FieldConstants, Representation, SampledFunction,
-                   boost_field, l2_distance, read_csv, write_csv)
+                   boost_field, frozen, l2_distance, read_csv, write_csv)
 from .kinematics import kappa, make_boost, simulate_signal_exchange, xi
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "ScenarioReport",
     "ConfigError",
     "load_config",
+    "make_output_dir",
     "run_scenario",
     "ALL_CHECKS",
 ]
@@ -201,7 +202,10 @@ def load_config(path) -> ScenarioConfig:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path}: not UTF-8 text (byte {exc.start})"]) from None
     raw = _parse_config_text(text)
     problems = []
     args = {"config": {}, "grid": {}, "constants": {}, "tolerances": {}}
@@ -247,7 +251,7 @@ def _build_amplitude(config: ScenarioConfig, config_dir: Path) -> SampledFunctio
         vals = vals.astype(complex)
         if config.state_kind == "gaussian_carrier":
             vals *= np.exp(1j * config.state_s * config.state_carrier_k * chi)
-        f = SampledFunction(axis=config.grid, values=vals,
+        f = SampledFunction(axis=config.grid, values=frozen(vals),
                             representation=Representation.POSITION_CHI,
                             s=config.state_s, pol=config.state_pol)
     if not np.any(f.values):
@@ -296,14 +300,23 @@ class _Source:
         peak = float(np.max(np.abs(amp.values)))
         scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
         unit = Field(channels={(s, config.state_pol): amp.with_values(
-            amp.values / scale)}, constants=constants)
+            frozen(amp.values / scale))}, constants=constants)
         nrm = math.sqrt(qb.photon_number(unit))
-        self.state = unit.map(lambda f: f.with_values(f.values / nrm))
+        self.state = unit.map(lambda f: f.with_values(frozen(f.values / nrm)))
         self._memo = {}
 
     @cached_property
     def momentum_state(self) -> Field:
         return qb.to_momentum_state(self.state)
+
+    @cached_property
+    def spectrum(self) -> tuple:
+        """The packet's spectral centroid and Parseval report, both read
+        from its one momentum transform, which is not kept.
+        """
+        sp = cf.spectrum(self.packet, self.s)
+        return sp.centroid, spectral.parseval_check(self.packet.channel(self.s),
+                                                    sp.momentum)
 
     def once(self, key: str, compute):
         """`compute()`, evaluated on the first call with `key` only."""
@@ -340,13 +353,22 @@ class _Boosted:
         return qb.to_momentum_state(self.state)
 
 
+def make_output_dir(path: Path) -> None:
+    """Create `path` and its parents; a ConfigError names it if that fails."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"cannot create output directory {path}: "
+                           f"{exc.strerror or exc}"]) from None
+
+
 def run_scenario(config: ScenarioConfig, config_dir: Path | None = None) -> ScenarioReport:
     """Execute every requested check and persist the report and CSV dumps."""
     config_dir = Path(config_dir) if config_dir is not None else Path(".")
     out_dir = Path(config.output_dir)
     if not out_dir.is_absolute():
         out_dir = config_dir / out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out_dir)
 
     boosts = [make_boost(b) for b in config.boosts] or [make_boost(0.0)]
     try:
@@ -358,7 +380,6 @@ def run_scenario(config: ScenarioConfig, config_dir: Path | None = None) -> Scen
         return _finalize(config, checks, out_dir)
 
     src = _Source(config, amp, boosts)
-    del amp  # src holds its own copies of the samples
     worst = {}  # check name -> its worst record so far, or its error
     for boost in boosts:
         boosted = _Boosted(src, boost)
@@ -401,11 +422,11 @@ def _signal_exchange(src: _Source) -> float:
 
 
 def _parseval(src: _Source) -> float:
-    return spectral.parseval_check(src.packet.channel(src.s)).rel_error
+    return src.spectrum[1].rel_error
 
 
 def _doppler_centroid(src: _Source, b: _Boosted):
-    base = src.once("centroid", lambda: cf.spectrum(src.packet, src.s).centroid)
+    base = src.spectrum[0]
     if base is None or base == 0.0:
         raise ValueError("doppler_centroid needs a carrier packet with "
                          "nonzero spectral centroid")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Axis, Representation, SampledFunction, norm
+from .grid import Axis, Representation, SampledFunction, frozen, norm
 
 __all__ = ["to_momentum", "to_position", "parseval_check", "ParsevalReport"]
 
@@ -89,7 +89,7 @@ def to_momentum(f: SampledFunction) -> SampledFunction:
     k_axis = f.axis.conjugate()
     out = _signed_dft(f.values, f.axis.start / f.axis.step, sign=-f.s, to_k=True)
     out *= f.axis.step / np.sqrt(2.0 * np.pi)
-    return SampledFunction(axis=k_axis, values=out,
+    return SampledFunction(axis=k_axis, values=frozen(out),
                            representation=Representation.MOMENTUM_K,
                            s=f.s, pol=f.pol, leakage=f.leakage)
 
@@ -111,7 +111,7 @@ def to_position(f: SampledFunction, target: Axis | None = None) -> SampledFuncti
         raise ValueError("target chi axis is not conjugate to the k grid")
     out = _signed_dft(f.values, chi_axis.start / chi_axis.step, sign=+f.s, to_k=False)
     out *= f.axis.step / np.sqrt(2.0 * np.pi)
-    return SampledFunction(axis=chi_axis, values=out,
+    return SampledFunction(axis=chi_axis, values=frozen(out),
                            representation=Representation.POSITION_CHI,
                            s=f.s, pol=f.pol, leakage=f.leakage)
 
@@ -125,11 +125,14 @@ class ParsevalReport:
     # actually holds the absolute error
 
 
-def parseval_check(f: SampledFunction) -> ParsevalReport:
-    """Compare ||f||^2 on the chi grid with ||f~||^2 on the k grid."""
+def parseval_check(f: SampledFunction, ft: SampledFunction) -> ParsevalReport:
+    """Compare ||f||^2 on the chi grid with ||f~||^2 on the k grid, where
+    `ft` is `to_momentum(f)`, which the caller already holds.
+    """
     if f.representation is not Representation.POSITION_CHI:
         raise ValueError("parseval_check requires a position-chi function")
-    ft = to_momentum(f)
+    if ft.representation is not Representation.MOMENTUM_K or ft.axis != f.axis.conjugate():
+        raise ValueError("parseval_check requires f's momentum representation as ft")
     p = norm(f) ** 2
     m = norm(ft) ** 2
     if p == 0.0:

@@ -192,7 +192,7 @@ def test_criterion_8_spectral_machinery():
     ok = True
     for s in (+1, -1):
         f = gaussian_carrier(BIG_AXIS, s=s, width=6.0)
-        rep = spectral.parseval_check(f)
+        rep = spectral.parseval_check(f, spectral.to_momentum(f))
         ok = ok and rep.rel_error <= 1e-10
         back = spectral.to_position(spectral.to_momentum(f), target=f.axis)
         ok = ok and np.abs(back.values - f.values).max() <= 1e-10

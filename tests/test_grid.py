@@ -126,6 +126,38 @@ class TestSampledFunction:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
+    def test_keeps_read_only_array_that_owns_its_data(self):
+        arr = np.arange(8, dtype=complex)
+        arr.flags.writeable = False
+        assert position_fn(make_axis(n=8, span=8.0), arr).values is arr
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.arange(8, dtype=complex),  # writable
+        lambda: np.arange(16, dtype=complex)[::2],  # a view
+        lambda: np.arange(8, dtype=float),  # needs a dtype conversion
+    ], ids=["writable", "view", "float"])
+    def test_copies_anything_else(self, make):
+        arr = make()
+        f = position_fn(make_axis(n=8, span=8.0), arr)
+        before = f.values.copy()
+        arr[:] = -1.0
+        assert f.values is not arr and not f.values.flags.writeable
+        assert f.values.base is None
+        np.testing.assert_array_equal(f.values, before)
+
+    def test_copies_read_only_view(self):
+        base = np.arange(8, dtype=complex)
+        view = base[:]
+        view.flags.writeable = False
+        f = position_fn(make_axis(n=8, span=8.0), view)
+        base[:] = -1.0
+        np.testing.assert_array_equal(f.values, np.arange(8))
+
+    def test_on_sample_query_returns_the_samples(self):
+        f = unit_gaussian(make_axis(), carrier=1.0)
+        out, leak = trig_interpolate(f, f.axis)
+        assert out is f.values and leak == 0.0
+
 
 class TestInnerProduct:
     def test_constant_function_gives_span(self):

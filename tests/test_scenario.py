@@ -213,14 +213,15 @@ class TestRunScenario:
         # Per boost: the boosted state's momentum form, shared by the
         # momentum-path and kernel checks, its matrix element's way back,
         # and the boosted packet's spectrum.  Once: the same two for the
-        # source state, the source packet's spectrum and parseval.
+        # source state, and the source packet's spectrum, shared by the
+        # centroid and parseval checks.
         calls = []
         signed_dft = spectral._signed_dft
         monkeypatch.setattr(spectral, "_signed_dft",
                             lambda *args, **kw: calls.append(1) or signed_dft(*args, **kw))
         path = write_cfg(tmp_path, extra="boosts = -0.5, 0.3, 0.6\n")
         assert run_scenario(load_config(path), config_dir=tmp_path).all_passed
-        assert len(calls) == 3 * 3 + 4
+        assert len(calls) == 3 * 3 + 3
 
     @pytest.mark.parametrize("amplitude", ["1e160", "1e308", "1e-160"])
     def test_extreme_amplitude_gives_unit_state(self, tmp_path, amplitude):
@@ -417,6 +418,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and line.split(" = ")[0] in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "export-kernel"])
+    def test_non_utf8_config_exit_two(self, tmp_path, capsys, command):
+        path = write_cfg(tmp_path, checks="parseval")
+        path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(path) in err and "UTF-8" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "export-kernel"])
+    def test_uncreatable_output_dir_exit_two(self, tmp_path, capsys, command):
+        (tmp_path / "blocker").write_text("a file, not a directory\n")
+        path = write_cfg(tmp_path, checks="parseval", out="blocker/sub")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(tmp_path / "blocker" / "sub") in err
+
+    def test_check_all_reports_bad_configs_and_runs_the_rest(self, tmp_path, capsys):
+        good = write_cfg(tmp_path, checks="parseval")
+        (tmp_path / "latin1.cfg").write_bytes(good.read_bytes() + b"# caf\xe9\n")
+        (tmp_path / "blocker").write_text("a file, not a directory\n")
+        (tmp_path / "blocked.cfg").write_text(
+            good.read_text().replace("output_dir = out", "output_dir = blocker/sub"))
+        assert main(["check-all", str(tmp_path)]) == 1
+        rows = {line.split()[0]: line.split()[1]
+                for line in capsys.readouterr().out.splitlines()}
+        assert rows == {"blocked": "CONFIG-ERROR", "latin1": "CONFIG-ERROR", "scn": "PASS"}
+        assert (tmp_path / "out" / "report.json").is_file()
 
     def test_numeric_output_dir_is_a_path(self, tmp_path, capsys):
         path = write_cfg(tmp_path, checks="parseval", out="5")

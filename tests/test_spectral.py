@@ -175,27 +175,37 @@ class TestSignedDft:
 
 class TestParseval:
     def test_unit_gaussian(self):
-        assert parseval_check(unit_gaussian(make_axis())).rel_error < 1e-10
+        f = unit_gaussian(make_axis())
+        assert parseval_check(f, to_momentum(f)).rel_error < 1e-10
 
     def test_two_bump_packet(self):
         ax = make_axis()
         chi = ax.points()
         vals = (np.exp(-((chi - 5) ** 2) / 4) + np.exp(-((chi + 5) ** 2) / 9)
                 * np.exp(1j * 1.5 * chi))
-        rep = parseval_check(position_fn(ax, vals))
+        f = position_fn(ax, vals)
+        rep = parseval_check(f, to_momentum(f))
         assert rep.rel_error < 1e-10
 
     def test_single_bin_spike(self):
         ax = make_axis(n=128, span=8.0)
         vals = np.zeros(128, dtype=complex)
         vals[17] = 3.0 - 1.0j
-        assert parseval_check(position_fn(ax, vals)).rel_error < 1e-12
+        f = position_fn(ax, vals)
+        assert parseval_check(f, to_momentum(f)).rel_error < 1e-12
 
     def test_zero_function_flagged_absolute(self):
         ax = make_axis(n=64, span=8.0)
-        rep = parseval_check(position_fn(ax, np.zeros(64)))
+        f = position_fn(ax, np.zeros(64))
+        rep = parseval_check(f, to_momentum(f))
         assert rep.absolute
         assert rep.rel_error == 0.0
+
+    def test_rejects_other_than_the_momentum_representation(self):
+        f = unit_gaussian(make_axis())
+        for ft in (f, to_momentum(unit_gaussian(make_axis(n=512)))):
+            with pytest.raises(ValueError):
+                parseval_check(f, ft)
 
     @pytest.mark.parametrize("s", [+1, -1])
     def test_unitarity_random(self, s):
