@@ -16,20 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .grid import Field, SampledFunction, resample  # noqa: F401 (perfbench patches it)
+from .grid import Field, resample  # noqa: F401 (perfbench patches it)
 from .kinematics import BoostParams, xi
 
 __all__ = [
     "WorldlineBox",
-    "SpectrumResult",
     "box_energy",
     "total_energy",
     "transform_density",
     "spectrum",
-    "doppler_shift_wavenumber",
 ]
-
-EDGE_DECAY_FRACTION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,14 +41,6 @@ class WorldlineBox:
             raise ValueError("box requires a2 > a1")
         if self.h <= 0:
             raise ValueError("h must be positive")
-
-
-def _edge_decay_ok(f: SampledFunction) -> bool:
-    peak = np.abs(f.values).max()
-    if peak == 0.0:
-        return True
-    edge = max(abs(f.values[0]), abs(f.values[-1]))
-    return edge <= EDGE_DECAY_FRACTION * peak
 
 
 def box_energy(packet: Field, box: WorldlineBox) -> float:
@@ -71,14 +59,12 @@ def box_energy(packet: Field, box: WorldlineBox) -> float:
     return packet.constants.area * packet.constants.epsilon / (2.0 * box.h) * total
 
 
-def total_energy(packet: Field, warn=None) -> float:
+def total_energy(packet: Field) -> float:
     """Whole-grid energy (A*eps/2) * int [|E|^2 + c^2|B|^2] dchi, no density
-    factor.  Calls `warn(s)` for channels violating the edge-decay policy.
+    factor.
     """
     total = 0.0
     for f in packet.channels.values():
-        if warn is not None and not _edge_decay_ok(f):
-            warn(f.s)
         total += f.axis.step * 2.0 * float(np.sum(np.abs(f.values) ** 2))
     return packet.constants.area * packet.constants.epsilon / 2.0 * total
 
@@ -90,28 +76,15 @@ def transform_density(h_A: float, s: int, boost: BoostParams) -> float:
     return xi(s, boost) * h_A
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumResult:
-    momentum: SampledFunction
-    centroid: float | None  # |E~|^2-weighted mean k; None for a zero field
-
-
-def spectrum(packet: Field, s: int) -> SpectrumResult:
-    """Momentum representation of the E channel plus its centroid."""
+def spectrum(packet: Field, s: int) -> tuple:
+    """Momentum representation of the E channel, and its |E~|^2-weighted
+    mean k (None for a zero field).
+    """
     ft = spectral.to_momentum(packet.channel(s))
     weights = np.abs(ft.values)
     weights **= 2
     total = weights.sum()
     if total == 0.0:
-        return SpectrumResult(momentum=ft, centroid=None)
+        return ft, None
     weights *= ft.axis.points()
-    centroid = float(np.sum(weights) / total)
-    return SpectrumResult(momentum=ft, centroid=centroid)
-
-
-def doppler_shift_wavenumber(k_A: float, s: int, boost: BoostParams) -> float:
-    """Wavenumber seen in the boosted frame: k_B = gamma*(1-s*beta)*k_A."""
-    if not np.isfinite(k_A):
-        raise ValueError("k_A must be finite")
-    return xi(s, boost) * k_A
-
+    return ft, float(np.sum(weights) / total)

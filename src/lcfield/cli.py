@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .quantum_blip import RegularisationKernel
-from .scenario import ConfigError, load_config, make_output_dir, run_scenario
+from .scenario import ConfigError, load_config, make_output_dir, run_scenario, write_output
 
 
 def _report_lines(name, report):
@@ -71,7 +71,7 @@ def _cmd_export_kernel(args, config) -> int:
     out = (Path(args.output) if args.output
            else Path(args.config).parent / config.output_dir / "kernel.csv")
     make_output_dir(out.parent)
-    kernel.export_csv(out)
+    write_output(out, kernel.export_csv)
     print(f"kernel multiplier table written to {out}")
     return 0
 

@@ -9,13 +9,12 @@ about zero, so negative wave numbers are always present.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Axis, Representation, SampledFunction, frozen, norm
 
-__all__ = ["to_momentum", "to_position", "parseval_check", "ParsevalReport"]
+__all__ = ["to_momentum", "to_position", "parseval_check"]
 
 
 def _turns(r: float, q: np.ndarray) -> np.ndarray:
@@ -116,27 +115,15 @@ def to_position(f: SampledFunction, target: Axis | None = None) -> SampledFuncti
                            s=f.s, pol=f.pol, leakage=f.leakage)
 
 
-@dataclass(frozen=True)
-class ParsevalReport:
-    position_norm: float
-    momentum_norm: float
-    rel_error: float
-    absolute: bool = False  # True when the input was zero and rel_error
-    # actually holds the absolute error
-
-
-def parseval_check(f: SampledFunction, ft: SampledFunction) -> ParsevalReport:
-    """Compare ||f||^2 on the chi grid with ||f~||^2 on the k grid, where
-    `ft` is `to_momentum(f)`, which the caller already holds.
+def parseval_check(f: SampledFunction, ft: SampledFunction) -> float:
+    """Relative error between ||f||^2 on the chi grid and ||f~||^2 on the k
+    grid, where `ft` is `to_momentum(f)`, which the caller already holds.
+    It is the absolute error when ||f|| = 0.
     """
     if f.representation is not Representation.POSITION_CHI:
         raise ValueError("parseval_check requires a position-chi function")
     if ft.representation is not Representation.MOMENTUM_K or ft.axis != f.axis.conjugate():
         raise ValueError("parseval_check requires f's momentum representation as ft")
     p = norm(f) ** 2
-    m = norm(ft) ** 2
-    if p == 0.0:
-        return ParsevalReport(position_norm=p, momentum_norm=m,
-                              rel_error=abs(p - m), absolute=True)
-    return ParsevalReport(position_norm=p, momentum_norm=m,
-                          rel_error=abs(p - m) / p)
+    error = abs(p - norm(ft) ** 2)
+    return error / p if p != 0.0 else error

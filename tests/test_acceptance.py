@@ -26,6 +26,8 @@ from lcfield.grid import (
 )
 from lcfield.kinematics import kappa, make_boost, simulate_signal_exchange, xi
 
+from finite_part import finite_part_convolution
+
 BIG_N = 2**14
 BIG_SPAN = 200.0
 BIG_AXIS = Axis(start=-100.0, step=BIG_SPAN / BIG_N, count=BIG_N)
@@ -54,13 +56,13 @@ def scaled(axis, factor):
 def test_criterion_1_doppler_centroid_ratio():
     t0 = time.perf_counter()
     packet = Field(channels={(1, "H"): gaussian_carrier(BIG_AXIS)})
-    base = cf.spectrum(packet, 1).centroid
+    _, base = cf.spectrum(packet, 1)
     ok = True
     for beta, expected in [(0.6, 0.5), (0.5, math.sqrt(1.0 / 3.0))]:
         boost = make_boost(beta)
         boosted = boost_field(packet, boost, scaled(BIG_AXIS, kappa(1, boost)),
                               power=1)
-        ratio = cf.spectrum(boosted, 1).centroid / base
+        ratio = cf.spectrum(boosted, 1)[1] / base
         ok = ok and abs(ratio - expected) / expected <= 1e-3
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0
@@ -140,8 +142,8 @@ def test_criterion_6_representation_commutativity():
     state = Field(channels={(1, "H"): f.with_values(f.values / norm(f))})
     boost = make_boost(0.6)
     target = scaled(BIG_AXIS, kappa(1, boost))
-    via_chi = qb.to_momentum_state(boost_field(state, boost, target, power=0.5))
-    via_k = boost_field(qb.to_momentum_state(state), boost,
+    via_chi = boost_field(state, boost, target, power=0.5).map(spectral.to_momentum)
+    via_k = boost_field(state.map(spectral.to_momentum), boost,
                         via_chi.channel(1).axis, power=0.5)
     dist = l2_distance(via_chi.channel(1), via_k.channel(1))
     ok = dist <= 1e-6
@@ -160,12 +162,12 @@ def test_criterion_7_kernel_consistency():
     state = Field(channels={(1, "H"): f})
 
     # spectral matrix element vs the slow finite-part quadrature oracle
-    me = qb.field_matrix_element(qb.to_momentum_state(state), 1, axis)
+    me = qb.field_matrix_element(state.map(spectral.to_momentum), 1, axis)
     probe = np.linspace(-8.0, 8.0, 41)
     idx = np.searchsorted(chi, probe)
     psi = lambda u: np.exp(-(u**2) / (2 * width**2)) * np.exp(1j * carrier * u)
-    oracle = qb.finite_part_convolution(psi, chi[idx], state.constants,
-                                        outer_radius=span / 2 - 1.0)
+    oracle = finite_part_convolution(psi, chi[idx], state.constants,
+                                     outer_radius=span / 2 - 1.0)
     rel_oracle = (np.linalg.norm(me.values[idx] - oracle)
                   / np.linalg.norm(oracle))
     ok = rel_oracle <= 1e-3
@@ -173,9 +175,9 @@ def test_criterion_7_kernel_consistency():
     # boosted-frame consistency of the matrix element
     boost = make_boost(0.6)
     boosted = boost_field(state, boost, scaled(axis, 2.0), power=0.5)
-    me_b = qb.field_matrix_element(qb.to_momentum_state(boosted), 1, scaled(axis, 2.0))
-    rep = qb.kernel_consistency_check(me, me_b, boost)
-    ok = ok and rep.rel_l2_discrepancy <= 1e-3
+    me_b = qb.field_matrix_element(boosted.map(spectral.to_momentum), 1, scaled(axis, 2.0))
+    discrepancy, _ = qb.kernel_consistency_check(me, me_b, boost)
+    ok = ok and discrepancy <= 1e-3
 
     # sqrt(|k|) multiplier law
     kernel = qb.RegularisationKernel(axis.conjugate())
@@ -184,7 +186,7 @@ def test_criterion_7_kernel_consistency():
     ok = ok and law <= 1e-10
     _report(7, f"field matrix element vs finite-part oracle "
                f"({rel_oracle:.2e} <= 1e-3); boosted consistency "
-               f"({rep.rel_l2_discrepancy:.2e} <= 1e-3); sqrt|k| law "
+               f"({discrepancy:.2e} <= 1e-3); sqrt|k| law "
                f"({law:.2e} <= 1e-10)", ok)
 
 
@@ -192,8 +194,7 @@ def test_criterion_8_spectral_machinery():
     ok = True
     for s in (+1, -1):
         f = gaussian_carrier(BIG_AXIS, s=s, width=6.0)
-        rep = spectral.parseval_check(f, spectral.to_momentum(f))
-        ok = ok and rep.rel_error <= 1e-10
+        ok = ok and spectral.parseval_check(f, spectral.to_momentum(f)) <= 1e-10
         back = spectral.to_position(spectral.to_momentum(f), target=f.axis)
         ok = ok and np.abs(back.values - f.values).max() <= 1e-10
     _report(8, "Parseval and forward/inverse round trip within 1e-10, "
@@ -205,12 +206,12 @@ def test_criterion_9_mode_occupation_migration():
     f = gaussian_carrier(BIG_AXIS)
     state = Field(channels={(1, "H"): f.with_values(f.values / norm(f))})
     half = 5 * DK
-    mom = qb.to_momentum_state(state)
+    mom = state.map(spectral.to_momentum)
     before = qb.mode_occupation(mom, K0 - half, K0 + half)
 
     boost = make_boost(0.6)
-    boosted = qb.to_momentum_state(
-        boost_field(state, boost, scaled(BIG_AXIS, kappa(1, boost)), power=0.5))
+    boosted = boost_field(state, boost, scaled(BIG_AXIS, kappa(1, boost)),
+                          power=0.5).map(spectral.to_momentum)
     leak = qb.mode_occupation(boosted, K0 - half, K0 + half)
     k_shift = xi(1, boost) * K0
     after = qb.mode_occupation(boosted, k_shift - half, k_shift + half)

@@ -4,7 +4,6 @@ import pytest
 from lcfield.classical_field import (
     WorldlineBox,
     box_energy,
-    doppler_shift_wavenumber,
     spectrum,
     total_energy,
     transform_density,
@@ -184,13 +183,6 @@ class TestTotalEnergy:
             assert total_energy(boosted) / e_a == pytest.approx(
                 xi(s, boost), rel=1e-6)
 
-    def test_edge_decay_warning(self):
-        wide = gaussian_channel(1, width=30.0)
-        packet = Field(channels={(1, "H"): wide})
-        warned = []
-        total_energy(packet, warn=warned.append)
-        assert warned == [1]
-
 
 class TestDensity:
     def test_identity(self):
@@ -215,17 +207,17 @@ class TestDensity:
 class TestSpectrum:
     def test_carrier_centroid(self):
         packet = gaussian_packet(width=6.0, carrier=2.0)
-        assert spectrum(packet, 1).centroid == pytest.approx(2.0, abs=1e-6)
+        assert spectrum(packet, 1)[1] == pytest.approx(2.0, abs=1e-6)
 
     def test_real_even_packet_centroid_zero(self):
         packet = gaussian_packet(width=4.0)
-        assert abs(spectrum(packet, 1).centroid) < 1e-10
+        assert abs(spectrum(packet, 1)[1]) < 1e-10
 
     def test_zero_field_flagged(self):
         zero = SampledFunction(axis=AXIS, values=np.zeros(N),
                                representation=Representation.POSITION_CHI, s=1)
-        result = spectrum(Field(channels={(1, "H"): zero}), 1)
-        assert result.centroid is None
+        _, centroid = spectrum(Field(channels={(1, "H"): zero}), 1)
+        assert centroid is None
 
     def test_doppler_centroid_ratio(self):
         # 2^14-point grid per the stated tolerance
@@ -234,39 +226,19 @@ class TestSpectrum:
         dk = 2 * np.pi / 200.0
         packet = Field(channels={
             (1, "H"): gaussian_channel(1, width=12.0, carrier=20 * dk, axis=ax)})
-        base = spectrum(packet, 1).centroid
+        _, base = spectrum(packet, 1)
         boost = make_boost(0.6)
         boosted = boost_field(packet, boost, scaled_axis(ax, kappa(1, boost)), power=1)
-        ratio = spectrum(boosted, 1).centroid / base
+        ratio = spectrum(boosted, 1)[1] / base
         assert ratio == pytest.approx(xi(1, boost), rel=1e-3)
-
-
-class TestDopplerShift:
-    def test_receding(self):
-        b = make_boost(0.5)
-        assert doppler_shift_wavenumber(1.0, 1, b) == pytest.approx(
-            np.sqrt(1.0 / 3.0), rel=1e-12)
-
-    def test_identity(self):
-        assert doppler_shift_wavenumber(1.7, 1, make_boost(0.0)) == 1.7
-
-    def test_approaching(self):
-        b = make_boost(0.5)
-        assert doppler_shift_wavenumber(1.0, -1, b) == pytest.approx(
-            np.sqrt(3.0), rel=1e-12)
-
-    def test_inverse_relation(self):
-        b = make_boost(0.42)
-        k_b = doppler_shift_wavenumber(2.0, 1, b)
-        assert kappa(1, b) * k_b == pytest.approx(2.0, rel=1e-12)
 
 
 def spectral_law_discrepancy(packet, boost, target):
     """Relative L2 gap between the spectrum of the boosted packet and the
     rescaled source spectrum E~_A(kappa * k_B), computed independently.
     """
-    lhs = spectrum(boost_field(packet, boost, target, power=1), 1).momentum
-    rhs = resample(spectrum(packet, 1).momentum, scale=kappa(1, boost),
+    lhs, _ = spectrum(boost_field(packet, boost, target, power=1), 1)
+    rhs = resample(spectrum(packet, 1)[0], scale=kappa(1, boost),
                    amplitude_factor=1.0, target=lhs.axis)
     return l2_distance(lhs, rhs) / norm(lhs)
 
@@ -287,7 +259,7 @@ class TestSpectralTransformCheck:
         boost = make_boost(0.6)
         target = scaled_axis(AXIS, kappa(1, boost))
         boosted = boost_field(packet, boost, target, power=1)
-        assert abs(spectrum(boosted, 1).centroid) < 1e-10
+        assert abs(spectrum(boosted, 1)[1]) < 1e-10
 
 
 def test_packet_validation():

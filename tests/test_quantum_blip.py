@@ -15,13 +15,13 @@ from lcfield.kinematics import inverse_boost, kappa, make_boost, xi
 from lcfield.quantum_blip import (
     RegularisationKernel,
     field_matrix_element,
-    finite_part_convolution,
     kernel_consistency_check,
     mode_occupation,
     photon_number,
-    to_momentum_state,
-    to_position_state,
 )
+from lcfield.spectral import to_momentum, to_position
+
+from finite_part import finite_part_convolution
 
 N = 4096
 SPAN = 80.0
@@ -48,7 +48,7 @@ def unit_state(**kw):
 
 def matrix_element(state):
     """field_matrix_element of a chi-representation state, on its own axis."""
-    return field_matrix_element(to_momentum_state(state), 1, state.channel(1).axis)
+    return field_matrix_element(state.map(to_momentum), 1, state.channel(1).axis)
 
 
 def scaled_axis(axis, factor):
@@ -136,7 +136,7 @@ class TestPhotonNumber:
 class TestMomentumState:
     def test_gaussian_pair(self):
         w = 3.0
-        mstate = to_momentum_state(unit_state(width=w))
+        mstate = unit_state(width=w).map(to_momentum)
         k = mstate.channel(1).axis.points()
         expected = (w**2 / np.pi) ** 0.25 * np.exp(-(w**2) * k**2 / 2)
         assert np.abs(mstate.channel(1).values - expected).max() < 1e-8
@@ -144,24 +144,24 @@ class TestMomentumState:
     def test_zero(self):
         zero = SampledFunction(axis=AXIS, values=np.zeros(N),
                                representation=Representation.POSITION_CHI, s=1)
-        mstate = to_momentum_state(Field(channels={(1, "H"): zero}))
+        mstate = Field(channels={(1, "H"): zero}).map(to_momentum)
         assert np.all(mstate.channel(1).values == 0)
 
     def test_roundtrip(self):
         state = unit_state(carrier=2.0)
-        back = to_position_state(to_momentum_state(state), target=AXIS)
+        back = state.map(to_momentum).map(lambda f: to_position(f, target=AXIS))
         assert np.abs(back.channel(1).values
                       - state.channel(1).values).max() < 1e-10
 
     def test_norm_parseval(self):
         state = unit_state(carrier=2.0)
-        assert photon_number(to_momentum_state(state)) == pytest.approx(
+        assert photon_number(state.map(to_momentum)) == pytest.approx(
             photon_number(state), abs=1e-10)
 
 
 class TestBoostMomentum:
     def test_identity(self):
-        mstate = to_momentum_state(unit_state(carrier=2.0))
+        mstate = unit_state(carrier=2.0).map(to_momentum)
         boosted = boost_field(mstate, make_boost(0.0), mstate.channel(1).axis,
                               power=0.5)
         assert np.abs(boosted.channel(1).values
@@ -171,7 +171,7 @@ class TestBoostMomentum:
         k0 = 2.0
         state = unit_state(width=8.0, carrier=k0)
         boost = make_boost(0.6)
-        mstate = to_momentum_state(state)
+        mstate = state.map(to_momentum)
         k_target = scaled_axis(AXIS, kappa(1, boost)).conjugate()
         boosted = boost_field(mstate, boost, k_target, power=0.5)
         peak = k_target.points()[np.argmax(np.abs(boosted.channel(1).values))]
@@ -181,8 +181,8 @@ class TestBoostMomentum:
         state = unit_state(width=3.0, carrier=2.0)
         boost = make_boost(0.6)
         target = scaled_axis(AXIS, kappa(1, boost))
-        via_chi = to_momentum_state(boost_field(state, boost, target, power=0.5))
-        via_k = boost_field(to_momentum_state(state), boost,
+        via_chi = boost_field(state, boost, target, power=0.5).map(to_momentum)
+        via_k = boost_field(state.map(to_momentum), boost,
                             via_chi.channel(1).axis, power=0.5)
         assert l2_distance(via_chi.channel(1), via_k.channel(1)) < 1e-6
 
@@ -190,13 +190,13 @@ class TestBoostMomentum:
         state = unit_state(carrier=1.0)
         boost = make_boost(0.8)
         k_target = scaled_axis(AXIS, kappa(1, boost)).conjugate()
-        boosted = boost_field(to_momentum_state(state), boost, k_target, power=0.5)
+        boosted = boost_field(state.map(to_momentum), boost, k_target, power=0.5)
         assert photon_number(boosted) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestModeOccupation:
     def test_full_axis_equals_photon_number(self):
-        mstate = to_momentum_state(unit_state(carrier=1.0))
+        mstate = unit_state(carrier=1.0).map(to_momentum)
         kax = mstate.channel(1).axis
         occ = mode_occupation(mstate, kax.start, kax.start + kax.span)
         assert occ == pytest.approx(1.0, abs=1e-8)
@@ -207,26 +207,26 @@ class TestModeOccupation:
         dk = 2 * np.pi / 200.0
         k0 = 20 * dk
         state = unit_state(width=12.0, carrier=k0, axis=ax)
-        mstate = to_momentum_state(state)
+        mstate = state.map(to_momentum)
         window = (k0 - 5 * dk, k0 + 5 * dk)
         assert mode_occupation(mstate, *window) >= 0.98
 
         boost = make_boost(0.6)
         target = scaled_axis(ax, kappa(1, boost))
-        boosted = to_momentum_state(boost_field(state, boost, target, power=0.5))
+        boosted = boost_field(state, boost, target, power=0.5).map(to_momentum)
         assert mode_occupation(boosted, *window) <= 1e-3
         k_shift = xi(1, boost) * k0
         shifted = (k_shift - 5 * dk, k_shift + 5 * dk)
         assert mode_occupation(boosted, *shifted) >= 0.98
 
     def test_tail_window(self):
-        mstate = to_momentum_state(unit_state(width=3.0, carrier=1.0))
+        mstate = unit_state(width=3.0, carrier=1.0).map(to_momentum)
         kax = mstate.channel(1).axis
         # far spectral tail: carrier 1.0, width in k is 1/3
         assert mode_occupation(mstate, 5.0, kax.start + kax.span) <= 1e-6
 
     def test_rejects_empty_window(self):
-        mstate = to_momentum_state(unit_state())
+        mstate = unit_state().map(to_momentum)
         with pytest.raises(ValueError):
             mode_occupation(mstate, 1.0, 1.0)
 
@@ -315,24 +315,24 @@ def kernel_check(state, boost, target):
 class TestKernelConsistency:
     def test_identity(self):
         state = unit_state(carrier=2.0)
-        rep = kernel_check(state, make_boost(0.0), AXIS)
-        assert rep.rel_l2_discrepancy < 1e-10
+        discrepancy, _ = kernel_check(state, make_boost(0.0), AXIS)
+        assert discrepancy < 1e-10
 
     def test_beta06(self):
         state = unit_state(width=3.0, carrier=2.0)
         boost = make_boost(0.6)
         target = scaled_axis(AXIS, kappa(1, boost))
-        rep = kernel_check(state, boost, target)
-        assert rep.rel_l2_discrepancy < 1e-3
+        discrepancy, _ = kernel_check(state, boost, target)
+        assert discrepancy < 1e-3
 
     def test_symmetric_under_frame_swap(self):
         state = unit_state(width=3.0, carrier=2.0)
         boost = make_boost(0.6)
-        fwd = kernel_check(state, boost, scaled_axis(AXIS, kappa(1, boost)))
-        rev = kernel_check(state, inverse_boost(boost),
-                           scaled_axis(AXIS, kappa(1, inverse_boost(boost))))
-        assert fwd.rel_l2_discrepancy < 1e-3
-        assert rev.rel_l2_discrepancy < 1e-3
+        fwd, _ = kernel_check(state, boost, scaled_axis(AXIS, kappa(1, boost)))
+        rev, _ = kernel_check(state, inverse_boost(boost),
+                              scaled_axis(AXIS, kappa(1, inverse_boost(boost))))
+        assert fwd < 1e-3
+        assert rev < 1e-3
 
     def test_kernel_homogeneity(self):
         # R(a*u) = a^{-3/2} R(u): field of the a-scaled state matches

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import math
 import os
@@ -13,6 +15,7 @@ import pytest
 from lcfield import scenario, spectral
 from lcfield.cli import main
 from lcfield.grid import Axis, FieldConstants, boost_field
+from lcfield.kinematics import make_boost, simulate_signal_exchange
 from lcfield.scenario import (
     ALL_CHECKS,
     CheckRecord,
@@ -318,30 +321,39 @@ def with_power(wrong: float, right: float):
 
 
 class TestNegativeControls:
-    """Each conservation check fails when the law it checks is broken."""
+    """Each conservation check, and signal_exchange, fails when the law it
+    checks is broken.
+    """
 
     CHECKS = "box_energy_conservation, naive_energy_ratio, photon_number_conservation"
+    # A check's boost, where it is not beta = 0.5 (whose kappa is not exact):
+    # signal_exchange runs next to beta = -1, where kappa is 1.67e-8.
+    BETA = {"signal_exchange": -0.9999999999999995}
 
     @staticmethod
-    def records(tmp_path):
-        # The later `boosts` line wins: beta = 0.5, whose kappa is not exact.
-        path = write_cfg(tmp_path, checks=TestNegativeControls.CHECKS,
-                         extra="boosts = 0.5\n")
+    def records(tmp_path, checks=CHECKS, beta=0.5):
+        # The later `boosts` line wins.
+        path = write_cfg(tmp_path, checks=checks, extra=f"boosts = {beta!r}\n")
         report = run_scenario(load_config(path), config_dir=tmp_path)
         return {c.name: c for c in report.checks}
 
     def test_control_passes(self, tmp_path):
         assert all(c.passed for c in self.records(tmp_path).values())
+        beta = self.BETA["signal_exchange"]
+        assert self.records(tmp_path, "signal_exchange", beta)["signal_exchange"].passed
 
     @pytest.mark.parametrize("check, module, attr, fake", [
         ("photon_number_conservation", scenario, "boost_field", with_power(1, 0.5)),
         ("naive_energy_ratio", scenario, "boost_field", with_power(0.5, 1)),
         ("box_energy_conservation", scenario.cf, "transform_density",
          lambda h_A, s, boost: h_A),
+        # The observer receding at beta taken as approaching: xi for kappa.
+        ("signal_exchange", scenario, "simulate_signal_exchange",
+         lambda boost, **kw: simulate_signal_exchange(make_boost(-boost.beta), **kw)),
     ])
     def test_broken_law_fails(self, tmp_path, monkeypatch, check, module, attr, fake):
         monkeypatch.setattr(module, attr, fake)
-        rec = self.records(tmp_path)[check]
+        rec = self.records(tmp_path, check, self.BETA.get(check, 0.5))[check]
         assert not rec.passed and not rec.errored
         assert rec.rel_error > 1e3 * rec.tolerance
 
@@ -366,8 +378,7 @@ def test_transform_checks_exact_at_2_18(tmp_path):
 
 def test_runner_imports_no_scipy_signal_or_integrate(tmp_path):
     # Each costs a large part of a second to import; on-sample boosts and
-    # the checks need neither (only off-grid resampling and the quadrature
-    # oracle do).
+    # the checks need neither (only off-grid resampling needs scipy.signal).
     path = write_cfg(tmp_path, extra="boosts = 0.5\n")
     code = (
         "import sys, lcfield.cli, lcfield.scenario as sc\n"
@@ -381,6 +392,25 @@ def test_runner_imports_no_scipy_signal_or_integrate(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert run.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_exports_exist_and_no_scipy_integrate_import():
+    # A deleted name cannot stay in an __all__, and no source file imports
+    # scipy.integrate (the quadrature oracle lives in tests/finite_part.py).
+    package = pathlib.Path(scenario.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        name = "lcfield" if path.stem == "__init__" else f"lcfield.{path.stem}"
+        module = importlib.import_module(name)
+        stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert stale == [], (name, stale)
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported |= {node.module} | {f"{node.module}.{alias.name}"
+                                             for alias in node.names}
+        assert not any(m.split(".")[:2] == ["scipy", "integrate"] for m in imported), name
 
 
 class TestCli:
@@ -446,6 +476,31 @@ class TestCli:
         rows = {line.split()[0]: line.split()[1]
                 for line in capsys.readouterr().out.splitlines()}
         assert rows == {"blocked": "CONFIG-ERROR", "latin1": "CONFIG-ERROR", "scn": "PASS"}
+        assert (tmp_path / "out" / "report.json").is_file()
+
+    @pytest.mark.parametrize("command,name", [("run", "report.json"),
+                                              ("run", "state_input.csv"),
+                                              ("export-kernel", "kernel.csv")])
+    def test_unwritable_output_file_exit_two(self, tmp_path, capsys, command, name):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        path = write_cfg(tmp_path, checks="parseval")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(tmp_path / "out" / name) in err
+        assert not (tmp_path / "out" / "report.json").is_file()
+
+    def test_check_all_reports_unwritable_output_files(self, tmp_path, capsys):
+        good = write_cfg(tmp_path, checks="parseval")
+        for name in ("report.json", "state_input.csv"):
+            stem = name.split(".")[0]
+            (tmp_path / stem / name).mkdir(parents=True)
+            (tmp_path / f"{stem}.cfg").write_text(
+                good.read_text().replace("output_dir = out", f"output_dir = {stem}"))
+        assert main(["check-all", str(tmp_path)]) == 1
+        rows = {line.split()[0]: line.split()[1]
+                for line in capsys.readouterr().out.splitlines()}
+        assert rows == {"report": "CONFIG-ERROR", "state_input": "CONFIG-ERROR",
+                        "scn": "PASS"}
         assert (tmp_path / "out" / "report.json").is_file()
 
     def test_numeric_output_dir_is_a_path(self, tmp_path, capsys):
