@@ -1,7 +1,7 @@
 """Classical wave packets on the light cone.
 
-A packet is a `Field` that stores complex analytic E amplitudes in its
-(s, "H") channels; the magnetic amplitude is never stored because a
+A packet is one `SampledFunction` holding the complex analytic E amplitude
+of a wave moving in its direction s, tagged "H"; B is never stored since a
 traveling wave fixes B(chi) = s*E(chi)/c, which makes the E/B ratio
 frame-invariant by construction.  Propagation is exact relabeling along
 chi = x - s*c*t (`grid.evaluate_at`); a boost is `grid.boost_field` with
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .grid import Field, resample  # noqa: F401 (perfbench patches it)
+from .grid import FieldConstants, SampledFunction
+from .grid import resample  # noqa: F401 (perfbench patches it)
 from .kinematics import BoostParams, xi
 
 __all__ = [
@@ -43,30 +44,27 @@ class WorldlineBox:
             raise ValueError("h must be positive")
 
 
-def box_energy(packet: Field, box: WorldlineBox) -> float:
-    """Energy in a chi box: (A*eps / 2h) * int [|E|^2 + c^2 |B|^2] dchi,
-    with A and eps the packet's constants.
+def box_energy(packet: SampledFunction, box: WorldlineBox,
+               constants: FieldConstants = FieldConstants()) -> float:
+    """Energy in a chi box: (A*eps / 2h) * int [|E|^2 + c^2 |B|^2] dchi.
 
-    With B = s*E/c the bracket is exactly 2|E|^2.  Summed over channels.
+    With B = s*E/c the bracket is exactly 2|E|^2.
     """
-    total = 0.0
-    for f in packet.channels.values():
-        pts = f.axis.points()
-        if box.a1 < pts[0] or box.a2 > pts[-1]:
-            raise ValueError("box extends outside the sampled grid")
-        mask = (pts >= box.a1) & (pts <= box.a2)
-        total += f.axis.step * 2.0 * float(np.sum(np.abs(f.values[mask]) ** 2))
-    return packet.constants.area * packet.constants.epsilon / (2.0 * box.h) * total
+    pts = packet.axis.points()
+    if box.a1 < pts[0] or box.a2 > pts[-1]:
+        raise ValueError("box extends outside the sampled grid")
+    mask = (pts >= box.a1) & (pts <= box.a2)
+    total = packet.axis.step * 2.0 * float(np.sum(np.abs(packet.values[mask]) ** 2))
+    return constants.area * constants.epsilon / (2.0 * box.h) * total
 
 
-def total_energy(packet: Field) -> float:
+def total_energy(packet: SampledFunction,
+                 constants: FieldConstants = FieldConstants()) -> float:
     """Whole-grid energy (A*eps/2) * int [|E|^2 + c^2|B|^2] dchi, no density
     factor.
     """
-    total = 0.0
-    for f in packet.channels.values():
-        total += f.axis.step * 2.0 * float(np.sum(np.abs(f.values) ** 2))
-    return packet.constants.area * packet.constants.epsilon / 2.0 * total
+    total = packet.axis.step * 2.0 * float(np.sum(np.abs(packet.values) ** 2))
+    return constants.area * constants.epsilon / 2.0 * total
 
 
 def transform_density(h_A: float, s: int, boost: BoostParams) -> float:
@@ -76,11 +74,11 @@ def transform_density(h_A: float, s: int, boost: BoostParams) -> float:
     return xi(s, boost) * h_A
 
 
-def spectrum(packet: Field, s: int) -> tuple:
-    """Momentum representation of the E channel, and its |E~|^2-weighted
+def spectrum(packet: SampledFunction) -> tuple:
+    """Momentum representation of the E amplitude, and its |E~|^2-weighted
     mean k (None for a zero field).
     """
-    ft = spectral.to_momentum(packet.channel(s))
+    ft = spectral.to_momentum(packet)
     weights = np.abs(ft.values)
     weights **= 2
     total = weights.sum()

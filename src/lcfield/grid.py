@@ -1,10 +1,11 @@
-"""Uniform sampled complex functions on a chi or k axis, and fields of them.
+"""Uniform sampled complex functions on a chi or k axis.
 
+Every state is one `SampledFunction`, tagged with its direction s and
+polarization; the physical constants are a separate `FieldConstants`.
 Provides the midpoint-rule inner product, L2 distance, band-limited
 resampling under coordinate rescaling (the discrete realization of
-substitutions like chi' -> scale*chi'), CSV serialization, the `Field`
-container of one sampled function per (s, pol) channel for both classical
-packets and one-photon blip states, and `boost_field`, which boosts both.
+substitutions like chi' -> scale*chi'), CSV serialization, point
+evaluation, and `boost_field`, which boosts packets and blip states.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "SampledFunction",
     "frozen",
     "FieldConstants",
-    "Field",
     "evaluate_at",
     "inner_product",
     "norm",
@@ -144,33 +144,6 @@ class FieldConstants:
             raise ValueError(f"physical constants must be finite and positive, got {self}")
 
 
-@dataclass(frozen=True, eq=False)
-class Field:
-    """One sampled function per (s, pol) channel, all in one representation.
-
-    A classical packet holds its E amplitude in (s, "H") channels; a blip
-    state holds one-photon amplitudes in either representation.
-    """
-
-    channels: dict  # (s, pol) -> SampledFunction
-    constants: FieldConstants = FieldConstants()
-
-    def __post_init__(self):
-        for (s, pol), f in self.channels.items():
-            if (f.s, f.pol) != (s, pol):
-                raise ValueError(f"channel key {(s, pol)} does not match tags")
-        if len({f.representation for f in self.channels.values()}) > 1:
-            raise ValueError("field channels mix representations")
-
-    def channel(self, s: int, pol: str = "H") -> SampledFunction:
-        return self.channels[(s, pol)]
-
-    def map(self, fn) -> "Field":
-        """The field with `fn` applied to every channel."""
-        return Field(channels={key: fn(f) for key, f in self.channels.items()},
-                     constants=self.constants)
-
-
 def _check_compatible(f: SampledFunction, g: SampledFunction) -> None:
     if f.axis != g.axis:
         raise ValueError("mismatched axes")
@@ -228,11 +201,11 @@ def trig_interpolate(f: SampledFunction, query: Axis) -> tuple[np.ndarray, float
     return out / n, float(lost / total) if total > 0 else 0.0
 
 
-def evaluate_at(field: Field, x: float, t: float, s: int, pol: str = "H") -> complex:
-    """Channel amplitude at (x, t): exact relabeling f(x - s*c*t)."""
-    f = field.channel(s, pol)
-    chi = x - s * field.constants.c * t
-    if chi < f.axis.start or chi > f.axis.end:
+def evaluate_at(f: SampledFunction, x: float, t: float,
+                constants: FieldConstants = FieldConstants()) -> complex:
+    """Amplitude at (x, t): exact relabeling f(x - s*c*t) with f's direction s."""
+    chi = x - f.s * constants.c * t
+    if not (f.axis.start <= chi <= f.axis.end):
         raise ValueError(f"chi = {chi} outside the sampled grid")
     # The trigonometric interpolant at one point: one FFT and one O(N) sum.
     n = f.axis.count
@@ -269,21 +242,19 @@ def resample(
     )
 
 
-def boost_field(field: Field, boost: BoostParams, target: Axis, power: float) -> Field:
-    """The field seen from the boosted frame, sampled on `target`.
+def boost_field(f: SampledFunction, boost: BoostParams, target: Axis,
+                power: float) -> SampledFunction:
+    """f seen from the boosted frame, sampled on `target`.
 
     A sample at chi_A is the sample at kappa*chi_A in the boosted frame,
-    rescaled: g(x) = scale**power * f(scale * x) per channel, with scale
-    xi = 1/kappa on a chi channel and kappa on a k channel.  `power` is 1
-    for an E amplitude or a field matrix element, and 1/2 for a one-photon
-    amplitude, whose squared norm (the photon number) it keeps.
+    rescaled: g(x) = scale**power * f(scale * x), with scale xi = 1/kappa
+    in the chi representation and kappa in the k representation.  `power`
+    is 1 for an E amplitude or a field matrix element, and 1/2 for a
+    one-photon amplitude, whose squared norm (the photon number) it keeps.
     """
-    def one(f: SampledFunction) -> SampledFunction:
-        factor = xi if f.representation is Representation.POSITION_CHI else kappa
-        scale = factor(f.s, boost)
-        return resample(f, scale=scale, amplitude_factor=scale ** power, target=target)
-
-    return field.map(one)
+    factor = xi if f.representation is Representation.POSITION_CHI else kappa
+    scale = factor(f.s, boost)
+    return resample(f, scale=scale, amplitude_factor=scale ** power, target=target)
 
 
 def write_table(path, header: str, columns) -> None:

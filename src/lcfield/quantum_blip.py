@@ -1,8 +1,8 @@
 """Single-excitation blip states and their observables.
 
-States live in the one-photon sector and are represented by complex
-amplitude functions per (direction, polarization) channel; the squared
-norm is the photon-number expectation.  A boost, `grid.boost_field` with
+States live in the one-photon sector; a state is one complex amplitude
+function, tagged with its direction and polarization, whose squared norm
+is the photon-number expectation.  A boost, `grid.boost_field` with
 power 1/2, keeps it: sqrt(xi) * psi(xi * chi), sqrt(kappa) * psi~(kappa * k).
 The electric-field matrix element applies the singular convolution kernel
 -sqrt(hbar/(4*pi*eps*c*A)) * |u|^{-3/2} as a Fourier multiplier
@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from . import spectral
-from .grid import (Axis, Field, FieldConstants, SampledFunction, boost_field,
-                   frozen, l2_distance, norm, write_table)
+from .grid import (Axis, FieldConstants, SampledFunction, boost_field, frozen,
+                   l2_distance, norm, write_table)
 from .grid import resample  # noqa: F401 (perfbench patches it)
 from .kinematics import BoostParams
 
@@ -31,21 +31,18 @@ __all__ = [
 ]
 
 
-def photon_number(state: Field) -> float:
-    """Sum over channels of int |psi|^2; works for both representations."""
-    return float(sum(norm(f) ** 2 for f in state.channels.values()))
+def photon_number(state: SampledFunction) -> float:
+    """int |psi|^2; works for both representations."""
+    return norm(state) ** 2
 
 
-def mode_occupation(mstate: Field, k_lo: float, k_hi: float) -> float:
-    """int over [k_lo, k_hi] of |psi~(k)|^2 dk, summed over channels."""
+def mode_occupation(mstate: SampledFunction, k_lo: float, k_hi: float) -> float:
+    """int over [k_lo, k_hi] of |psi~(k)|^2 dk."""
     if not k_hi > k_lo:
         raise ValueError("empty wavenumber window")
-    total = 0.0
-    for f in mstate.channels.values():
-        pts = f.axis.points()
-        mask = (pts >= k_lo) & (pts <= k_hi)
-        total += f.axis.step * float(np.sum(np.abs(f.values[mask]) ** 2))
-    return total
+    pts = mstate.axis.points()
+    mask = (pts >= k_lo) & (pts <= k_hi)
+    return mstate.axis.step * float(np.sum(np.abs(mstate.values[mask]) ** 2))
 
 
 class RegularisationKernel:
@@ -64,7 +61,6 @@ class RegularisationKernel:
 
     def __init__(self, k_axis: Axis, constants: FieldConstants = FieldConstants()):
         self.k_axis = k_axis
-        self.constants = constants
         self.prefactor = -math.sqrt(
             constants.hbar / (4.0 * math.pi * constants.epsilon
                               * constants.c * constants.area))
@@ -81,17 +77,18 @@ class RegularisationKernel:
                                           np.zeros(self.k_axis.count)])
 
 
-def field_matrix_element(mstate: Field, s: int, target: Axis) -> SampledFunction:
-    """Vacuum-to-one-photon matrix element of the electric field for the
-    H channel with direction s: int c * R(chi - chi') * psi(chi') dchi' on
-    the chi axis `target`, computed as the sqrt(|k|) Fourier multiplier.
+def field_matrix_element(ft: SampledFunction, target: Axis,
+                         constants: FieldConstants = FieldConstants()) -> SampledFunction:
+    """Vacuum-to-one-photon matrix element of the electric field of an H
+    state: int c * R(chi - chi') * psi(chi') dchi' on the chi axis
+    `target`, computed as the sqrt(|k|) Fourier multiplier.
 
-    `mstate` is the state's momentum representation,
-    `state.map(spectral.to_momentum)` of a state sampled on `target`.  The
-    magnetic counterpart is s * result / c.
+    `ft` is the state's momentum representation, `spectral.to_momentum` of
+    a state sampled on `target`.  The magnetic counterpart is s * result / c.
     """
-    ft = mstate.channel(s, "H")
-    kernel = RegularisationKernel(ft.axis, mstate.constants)
+    if ft.pol != "H":
+        raise ValueError(f"the matrix element needs an H-polarized state, got {ft.pol}")
+    kernel = RegularisationKernel(ft.axis, constants)
     return spectral.to_position(ft.with_values(frozen(kernel.multiplier * ft.values)),
                                 target=target)
 
@@ -107,9 +104,7 @@ def kernel_consistency_check(me_A: SampledFunction, me_B: SampledFunction,
     Returns the relative L2 discrepancy (absolute when `me_B` is zero) and
     the larger leakage of the two sides.
     """
-    s = me_A.s
-    rhs = boost_field(Field(channels={(s, "H"): me_A}), boost, me_B.axis,
-                      power=1).channel(s)
+    rhs = boost_field(me_A, boost, me_B.axis, power=1)
     ref = norm(me_B)
     num = l2_distance(me_B, rhs)
     disc = num / ref if ref > 0 else num

@@ -1,12 +1,12 @@
 """Config-driven experiment runner.
 
 Reads a declarative scenario config (flat `dotted.key = value` text),
-builds the requested packet/state, applies each boost, executes the named
-invariant checks, and writes a deterministic JSON report plus CSV sample
-dumps into the scenario's output directory.
+builds the packet and blip state (one sampled function each), applies
+each boost, runs the named invariant checks, and writes a JSON report
+and CSV sample dumps into the scenario's output directory.
 
-Each boost's packet and blip state are built once and shared by the
-checks; a per-boost check keeps its worst record over the boosts.
+Each boost's packet and state are built once and shared by the checks;
+a per-boost check keeps its worst record over the boosts.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 from . import classical_field as cf
 from . import quantum_blip as qb
 from . import spectral
-from .grid import (Axis, Field, FieldConstants, Representation, SampledFunction,
-                   boost_field, frozen, l2_distance, read_csv, write_csv)
+from .grid import (Axis, FieldConstants, Representation, SampledFunction, boost_field,
+                   frozen, l2_distance, read_csv, write_csv)
 from .kinematics import kappa, make_boost, simulate_signal_exchange, xi
 
 __all__ = [
@@ -283,46 +283,60 @@ def _errored(name, tolerance, message) -> CheckRecord:
 
 
 class _Source:
-    """A scenario's unboosted packet and blip state, and a memo for the
-    boost-independent quantities the checks derive from them.
+    """A scenario's unboosted packet and blip state, and the boost-independent
+    quantities the checks derive from them, each computed on first use.
     """
 
     def __init__(self, config: ScenarioConfig, amp: SampledFunction, boosts):
         self.config = config
         self.boosts = boosts
-        self.s = s = config.state_s
-        constants = config.constants
-        self.packet = Field(channels={(s, "H"): amp.with_values(amp.values, pol="H")},
-                            constants=constants)
+        self.s = config.state_s
+        self.packet = amp.with_values(amp.values, pol="H")
         # Divided first by a power of two within a factor 2 of the peak, so
         # that |amp|**2 cannot overflow.  That division is exact (short of a
         # subnormal result), so a state whose norm did not overflow before
         # keeps its bits.
         peak = float(np.max(np.abs(amp.values)))
         scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
-        unit = Field(channels={(s, config.state_pol): amp.with_values(
-            frozen(amp.values / scale))}, constants=constants)
+        unit = amp.with_values(frozen(amp.values / scale))
         nrm = math.sqrt(qb.photon_number(unit))
-        self.state = unit.map(lambda f: f.with_values(frozen(f.values / nrm)))
-        self._memo = {}
+        self.state = unit.with_values(frozen(unit.values / nrm))
 
     @cached_property
-    def momentum_state(self) -> Field:
-        return self.state.map(spectral.to_momentum)
+    def momentum_state(self) -> SampledFunction:
+        return spectral.to_momentum(self.state)
 
     @cached_property
     def spectrum(self) -> tuple:
         """The packet's spectral centroid and Parseval error, both read
         from its one momentum transform, which is not kept.
         """
-        momentum, centroid = cf.spectrum(self.packet, self.s)
-        return centroid, spectral.parseval_check(self.packet.channel(self.s), momentum)
+        momentum, centroid = cf.spectrum(self.packet)
+        return centroid, spectral.parseval_check(self.packet, momentum)
 
-    def once(self, key: str, compute):
-        """`compute()`, evaluated on the first call with `key` only."""
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+    @cached_property
+    def box(self) -> cf.WorldlineBox:
+        cfg = self.config
+        width = 6.0 * cfg.state_width
+        return cf.WorldlineBox(a1=cfg.state_center - width, a2=cfg.state_center + width,
+                               h=cfg.h_density)
+
+    @cached_property
+    def box_energy(self) -> float:
+        return cf.box_energy(self.packet, self.box, self.config.constants)
+
+    @cached_property
+    def total_energy(self) -> float:
+        return cf.total_energy(self.packet, self.config.constants)
+
+    @cached_property
+    def photon_number(self) -> float:
+        return qb.photon_number(self.state)
+
+    @cached_property
+    def matrix_element(self) -> SampledFunction:
+        return qb.field_matrix_element(self.momentum_state, self.config.grid,
+                                       self.config.constants)
 
 
 class _Boosted:
@@ -341,16 +355,16 @@ class _Boosted:
         return Axis(start=grid.start * kap, step=grid.step * kap, count=grid.count)
 
     @cached_property
-    def packet(self) -> Field:
+    def packet(self) -> SampledFunction:
         return boost_field(self.src.packet, self.boost, self.target, power=1)
 
     @cached_property
-    def state(self) -> Field:
+    def state(self) -> SampledFunction:
         return boost_field(self.src.state, self.boost, self.target, power=0.5)
 
     @cached_property
-    def momentum_state(self) -> Field:
-        return self.state.map(spectral.to_momentum)
+    def momentum_state(self) -> SampledFunction:
+        return spectral.to_momentum(self.state)
 
 
 def _output_step(message: str, step, *args, **kwargs) -> None:
@@ -379,6 +393,8 @@ def run_scenario(config: ScenarioConfig, config_dir: Path | None = None) -> Scen
     if not out_dir.is_absolute():
         out_dir = config_dir / out_dir
     make_output_dir(out_dir)
+    # A run that stops early must not leave an earlier run's report behind.
+    write_output(out_dir / "report.json", lambda path: path.unlink(missing_ok=True))
 
     boosts = [make_boost(b) for b in config.boosts] or [make_boost(0.0)]
     try:
@@ -438,44 +454,34 @@ def _doppler_centroid(src: _Source, b: _Boosted):
     if base is None or base == 0.0:
         raise ValueError("doppler_centroid needs a carrier packet with "
                          "nonzero spectral centroid")
-    return xi(src.s, b.boost), cf.spectrum(b.packet, src.s)[1] / base, {}
+    return xi(src.s, b.boost), cf.spectrum(b.packet)[1] / base, {}
 
 
 def _box_energy_conservation(src: _Source, b: _Boosted):
-    cfg, kap = src.config, kappa(src.s, b.boost)
-    width = 6.0 * cfg.state_width
-    box_a = cf.WorldlineBox(a1=cfg.state_center - width, a2=cfg.state_center + width,
-                            h=cfg.h_density)
+    box_a, kap = src.box, kappa(src.s, b.boost)
     box_b = cf.WorldlineBox(a1=kap * box_a.a1, a2=kap * box_a.a2,
-                            h=cf.transform_density(cfg.h_density, src.s, b.boost))
-    e_a = src.once("box_energy", lambda: cf.box_energy(src.packet, box_a))
-    return e_a, cf.box_energy(b.packet, box_b), {}
+                            h=cf.transform_density(box_a.h, src.s, b.boost))
+    return src.box_energy, cf.box_energy(b.packet, box_b, src.config.constants), {}
 
 
 def _naive_energy_ratio(src: _Source, b: _Boosted):
-    e_a = src.once("total_energy", lambda: cf.total_energy(src.packet))
-    return xi(src.s, b.boost), cf.total_energy(b.packet) / e_a, {}
+    e_b = cf.total_energy(b.packet, src.config.constants)
+    return xi(src.s, b.boost), e_b / src.total_energy, {}
 
 
 def _photon_number_conservation(src: _Source, b: _Boosted):
-    n_a = src.once("photon_number", lambda: qb.photon_number(src.state))
-    return n_a, qb.photon_number(b.state), {}
+    return src.photon_number, qb.photon_number(b.state), {}
 
 
 def _momentum_path_commutativity(src: _Source, b: _Boosted):
-    key = (src.s, src.config.state_pol)
-    via_chi = b.momentum_state.channel(*key)
-    via_k = boost_field(src.momentum_state, b.boost, via_chi.axis,
-                        power=0.5).channel(*key)
+    via_chi = b.momentum_state
+    via_k = boost_field(src.momentum_state, b.boost, via_chi.axis, power=0.5)
     return 0.0, l2_distance(via_chi, via_k), {}
 
 
 def _kernel_consistency(src: _Source, b: _Boosted):
-    if src.config.state_pol != "H":
-        raise ValueError("kernel_consistency needs an H-polarized state")
-    me_a = src.once("matrix_element", lambda: qb.field_matrix_element(
-        src.momentum_state, src.s, src.config.grid))
-    me_b = qb.field_matrix_element(b.momentum_state, src.s, b.target)
+    me_a = src.matrix_element
+    me_b = qb.field_matrix_element(b.momentum_state, b.target, src.config.constants)
     discrepancy, leakage = qb.kernel_consistency_check(me_a, me_b, b.boost)
     return 0.0, discrepancy, {"leakage": leakage}
 
@@ -517,5 +523,8 @@ def _finalize(config: ScenarioConfig, checks, out_dir: Path) -> ScenarioReport:
     for rec in payload["checks"]:
         rec["pass"] = rec.pop("passed")
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    write_output(out_dir / "report.json", lambda path: path.write_text(text))
+    # Renamed into place, so that report.json is never a partial file.
+    tmp = out_dir / "report.json.tmp"
+    write_output(tmp, lambda path: path.write_text(text))
+    write_output(out_dir / "report.json", tmp.replace)
     return report

@@ -10,7 +10,6 @@ from lcfield.classical_field import (
 )
 from lcfield.grid import (
     Axis,
-    Field,
     FieldConstants,
     Representation,
     SampledFunction,
@@ -27,8 +26,8 @@ SPAN = 80.0
 AXIS = Axis(start=-SPAN / 2, step=SPAN / N, count=N)
 
 
-def gaussian_channel(s, width=3.0, center=0.0, carrier=0.0, amplitude=1.0,
-                     axis=AXIS):
+def gaussian_packet(s=1, width=3.0, center=0.0, carrier=0.0, amplitude=1.0,
+                    axis=AXIS):
     chi = axis.points()
     vals = amplitude * np.exp(-((chi - center) ** 2) / (2 * width**2))
     vals = vals.astype(complex)
@@ -38,16 +37,11 @@ def gaussian_channel(s, width=3.0, center=0.0, carrier=0.0, amplitude=1.0,
                            representation=Representation.POSITION_CHI, s=s)
 
 
-def gaussian_packet(s=1, **kw):
-    return Field(channels={(s, "H"): gaussian_channel(s, **kw)})
-
-
 def unit_norm_packet(s=1, width=3.0):
     chi = AXIS.points()
     vals = (np.pi * width**2) ** -0.25 * np.exp(-chi**2 / (2 * width**2))
-    f = SampledFunction(axis=AXIS, values=vals,
-                        representation=Representation.POSITION_CHI, s=s)
-    return Field(channels={(s, "H"): f})
+    return SampledFunction(axis=AXIS, values=vals,
+                           representation=Representation.POSITION_CHI, s=s)
 
 
 def scaled_axis(axis, factor):
@@ -59,38 +53,36 @@ class TestEvaluateAt:
     def test_time_zero_returns_grid_sample(self):
         packet = gaussian_packet()
         x = AXIS.points()[100]
-        assert evaluate_at(packet, x, 0.0, 1) == pytest.approx(
-            complex(packet.channel(1).values[100]), abs=1e-10)
+        assert evaluate_at(packet, x, 0.0) == pytest.approx(
+            complex(packet.values[100]), abs=1e-10)
 
     def test_constant_along_worldline(self):
         packet = gaussian_packet(center=2.0)
-        peak0 = evaluate_at(packet, 2.0, 0.0, 1)
-        peak_t = evaluate_at(packet, 2.0 + 5.0, 5.0, 1)
+        peak0 = evaluate_at(packet, 2.0, 0.0)
+        peak_t = evaluate_at(packet, 2.0 + 5.0, 5.0)
         assert peak_t == pytest.approx(peak0, abs=1e-10)
         assert abs(peak0) == pytest.approx(1.0, abs=1e-10)
 
     def test_opposite_channels_move_apart(self):
-        right = gaussian_channel(+1, center=0.0)
-        left = gaussian_channel(-1, center=0.0)
-        packet = Field(channels={(1, "H"): right, (-1, "H"): left})
+        right = gaussian_packet(+1, center=0.0)
+        left = gaussian_packet(-1, center=0.0)
         t = 1.0
         # peaks sit at x = center + s*c*t
-        assert abs(evaluate_at(packet, +1.0, t, +1)) == pytest.approx(1.0, abs=1e-10)
-        assert abs(evaluate_at(packet, -1.0, t, -1)) == pytest.approx(1.0, abs=1e-10)
-        assert abs(evaluate_at(packet, -1.0, t, +1)) < 0.9
+        assert abs(evaluate_at(right, +1.0, t)) == pytest.approx(1.0, abs=1e-10)
+        assert abs(evaluate_at(left, -1.0, t)) == pytest.approx(1.0, abs=1e-10)
+        assert abs(evaluate_at(right, -1.0, t)) < 0.9
 
     def test_out_of_grid_errors(self):
         packet = gaussian_packet()
         with pytest.raises(ValueError):
-            evaluate_at(packet, SPAN, 0.0, 1)
+            evaluate_at(packet, SPAN, 0.0)
 
 
 class TestBoostPacket:
     def test_identity_boost(self):
         packet = gaussian_packet(carrier=2.0)
         boosted = boost_field(packet, make_boost(0.0), AXIS, power=1)
-        assert np.abs(boosted.channel(1).values
-                      - packet.channel(1).values).max() < 1e-10
+        assert np.abs(boosted.values - packet.values).max() < 1e-10
 
     def test_gaussian_closed_form(self):
         w, e0 = 3.0, 1.3
@@ -100,24 +92,23 @@ class TestBoostPacket:
         boosted = boost_field(packet, boost, target, power=1)
         chi = target.points()
         expected = 0.5 * e0 * np.exp(-((0.5 * chi) ** 2) / (2 * w**2))
-        assert np.abs(boosted.channel(1).values - expected).max() < 1e-6
+        assert np.abs(boosted.values - expected).max() < 1e-6
 
     def test_roundtrip(self):
         packet = gaussian_packet(carrier=2.0)
         boost = make_boost(0.6)
         there = boost_field(packet, boost, scaled_axis(AXIS, kappa(1, boost)), power=1)
         back = boost_field(there, inverse_boost(boost), AXIS, power=1)
-        assert l2_distance(back.channel(1), packet.channel(1)) < 1e-6
+        assert l2_distance(back, packet) < 1e-6
 
     def test_amplitude_factor(self):
         packet = gaussian_packet(carrier=1.0)
         for beta, s in [(0.6, 1), (0.6, -1), (-0.3, 1)]:
             boost = make_boost(beta)
             target = scaled_axis(AXIS, kappa(s, boost))
-            f = gaussian_channel(s, carrier=1.0)
-            p = Field(channels={(s, "H"): f})
-            boosted = boost_field(p, boost, target, power=1)
-            ratio = (np.abs(boosted.channel(s).values).max()
+            f = gaussian_packet(s, carrier=1.0)
+            boosted = boost_field(f, boost, target, power=1)
+            ratio = (np.abs(boosted.values).max()
                      / np.abs(f.values).max())
             assert ratio == pytest.approx(xi(s, boost), rel=1e-6)
 
@@ -126,13 +117,11 @@ class TestBoxEnergy:
     def test_zero_field(self):
         zero = SampledFunction(axis=AXIS, values=np.zeros(N),
                                representation=Representation.POSITION_CHI, s=1)
-        packet = Field(channels={(1, "H"): zero})
-        assert box_energy(packet, WorldlineBox(-5, 5)) == 0.0
+        assert box_energy(zero, WorldlineBox(-5, 5)) == 0.0
 
     def test_constant_field_energy_is_length(self):
-        ones = SampledFunction(axis=AXIS, values=np.ones(N),
-                               representation=Representation.POSITION_CHI, s=1)
-        packet = Field(channels={(1, "H"): ones})
+        packet = SampledFunction(axis=AXIS, values=np.ones(N),
+                                 representation=Representation.POSITION_CHI, s=1)
         # bracket doubles, prefactor halves: energy = box length
         box = WorldlineBox(-10.0, 10.0, h=1.0)
         # endpoints fall on grid points; the closed sum counts one extra step
@@ -167,7 +156,7 @@ class TestTotalEnergy:
     def test_zero(self):
         zero = SampledFunction(axis=AXIS, values=np.zeros(N),
                                representation=Representation.POSITION_CHI, s=1)
-        assert total_energy(Field(channels={(1, "H"): zero})) == 0.0
+        assert total_energy(zero) == 0.0
 
     def test_unit_norm_gaussian(self):
         packet = unit_norm_packet()
@@ -207,16 +196,16 @@ class TestDensity:
 class TestSpectrum:
     def test_carrier_centroid(self):
         packet = gaussian_packet(width=6.0, carrier=2.0)
-        assert spectrum(packet, 1)[1] == pytest.approx(2.0, abs=1e-6)
+        assert spectrum(packet)[1] == pytest.approx(2.0, abs=1e-6)
 
     def test_real_even_packet_centroid_zero(self):
         packet = gaussian_packet(width=4.0)
-        assert abs(spectrum(packet, 1)[1]) < 1e-10
+        assert abs(spectrum(packet)[1]) < 1e-10
 
     def test_zero_field_flagged(self):
         zero = SampledFunction(axis=AXIS, values=np.zeros(N),
                                representation=Representation.POSITION_CHI, s=1)
-        _, centroid = spectrum(Field(channels={(1, "H"): zero}), 1)
+        _, centroid = spectrum(zero)
         assert centroid is None
 
     def test_doppler_centroid_ratio(self):
@@ -224,12 +213,11 @@ class TestSpectrum:
         n = 2**14
         ax = Axis(start=-100.0, step=200.0 / n, count=n)
         dk = 2 * np.pi / 200.0
-        packet = Field(channels={
-            (1, "H"): gaussian_channel(1, width=12.0, carrier=20 * dk, axis=ax)})
-        _, base = spectrum(packet, 1)
+        packet = gaussian_packet(1, width=12.0, carrier=20 * dk, axis=ax)
+        _, base = spectrum(packet)
         boost = make_boost(0.6)
         boosted = boost_field(packet, boost, scaled_axis(ax, kappa(1, boost)), power=1)
-        ratio = spectrum(boosted, 1)[1] / base
+        ratio = spectrum(boosted)[1] / base
         assert ratio == pytest.approx(xi(1, boost), rel=1e-3)
 
 
@@ -237,8 +225,8 @@ def spectral_law_discrepancy(packet, boost, target):
     """Relative L2 gap between the spectrum of the boosted packet and the
     rescaled source spectrum E~_A(kappa * k_B), computed independently.
     """
-    lhs, _ = spectrum(boost_field(packet, boost, target, power=1), 1)
-    rhs = resample(spectrum(packet, 1)[0], scale=kappa(1, boost),
+    lhs, _ = spectrum(boost_field(packet, boost, target, power=1))
+    rhs = resample(spectrum(packet)[0], scale=kappa(1, boost),
                    amplitude_factor=1.0, target=lhs.axis)
     return l2_distance(lhs, rhs) / norm(lhs)
 
@@ -259,14 +247,11 @@ class TestSpectralTransformCheck:
         boost = make_boost(0.6)
         target = scaled_axis(AXIS, kappa(1, boost))
         boosted = boost_field(packet, boost, target, power=1)
-        assert abs(spectrum(boosted, 1)[1]) < 1e-10
+        assert abs(spectrum(boosted)[1]) < 1e-10
 
 
 def test_packet_validation():
-    f = gaussian_channel(1)
     with pytest.raises(ValueError):
-        Field(channels={(-1, "H"): f})
-    with pytest.raises(ValueError):
-        Field(channels={(1, "H"): f}, constants=FieldConstants(c=-1.0))
+        FieldConstants(c=-1.0)
     with pytest.raises(ValueError):
         WorldlineBox(2.0, 1.0)

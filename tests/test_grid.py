@@ -10,7 +10,6 @@ import pytest
 from lcfield import grid
 from lcfield.grid import (
     Axis,
-    Field,
     FieldConstants,
     Representation,
     SampledFunction,
@@ -91,13 +90,13 @@ def test_evaluate_at_matches_interpolant_without_scipy_signal():
     # One FFT and a direct sum; the chirp-z path (and scipy.signal) stays unused.
     code = (
         "import sys, numpy as np\n"
-        "from lcfield.grid import Axis, Field, Representation, SampledFunction, "
+        "from lcfield.grid import Axis, Representation, SampledFunction, "
         "evaluate_at, trig_interpolate\n"
         "ax = Axis(start=-100.0, step=200.0 / 2**14, count=2**14)\n"
         "x = ax.points()\n"
         "f = SampledFunction(axis=ax, values=np.exp(-x**2 / 288 + 0.6j * x),\n"
         "                    representation=Representation.POSITION_CHI, s=1)\n"
-        "got = evaluate_at(Field(channels={(1, 'H'): f}), 3.0123, 0.5, 1)\n"
+        "got = evaluate_at(f, 3.0123, 0.5)\n"
         "print('scipy.signal' in sys.modules)\n"
         "want = trig_interpolate(f, Axis(start=2.5123, step=ax.step, count=2))[0][0]\n"
         "print(abs(got - want) < 1e-14)\n")
@@ -323,14 +322,13 @@ class TestBoostField:
         rng = np.random.default_rng(n)
         f = SampledFunction(axis=ax, values=rng.normal(size=(n, 2)) @ [1, 1j],
                             representation=rep, s=s)
-        field = Field(channels={(s, "H"): f})
         for beta in self.BETAS:
             boost = make_boost(beta)
             k = kappa(s, boost)
             target = Axis(start=chi_axis.start * k, step=chi_axis.step * k, count=n)
             target, scale = (target, xi(s, boost)) if on_chi else (target.conjugate(), k)
             for power in (1, 0.5):
-                g = boost_field(field, boost, target, power).channel(s)
+                g = boost_field(f, boost, target, power)
                 np.testing.assert_array_equal(g.values, scale ** power * f.values)
                 assert g.axis == target and g.leakage == 0.0
 

@@ -3,7 +3,6 @@ import pytest
 
 from lcfield.grid import (
     Axis,
-    Field,
     FieldConstants,
     Representation,
     SampledFunction,
@@ -28,8 +27,7 @@ SPAN = 80.0
 AXIS = Axis(start=-SPAN / 2, step=SPAN / N, count=N)
 
 
-def unit_gaussian_amp(width=3.0, center=0.0, carrier=0.0, s=1, pol="H",
-                      axis=AXIS):
+def unit_state(width=3.0, center=0.0, carrier=0.0, s=1, pol="H", axis=AXIS):
     chi = axis.points()
     vals = (np.pi * width**2) ** -0.25 * np.exp(
         -((chi - center) ** 2) / (2 * width**2))
@@ -41,14 +39,9 @@ def unit_gaussian_amp(width=3.0, center=0.0, carrier=0.0, s=1, pol="H",
                            s=s, pol=pol)
 
 
-def unit_state(**kw):
-    f = unit_gaussian_amp(**kw)
-    return Field(channels={(f.s, f.pol): f})
-
-
 def matrix_element(state):
     """field_matrix_element of a chi-representation state, on its own axis."""
-    return field_matrix_element(state.map(to_momentum), 1, state.channel(1).axis)
+    return field_matrix_element(to_momentum(state), state.axis)
 
 
 def scaled_axis(axis, factor):
@@ -60,33 +53,37 @@ class TestPropagation:
     def test_time_zero(self):
         state = unit_state()
         x = AXIS.points()[123]
-        assert evaluate_at(state, x, 0.0, 1) == pytest.approx(
-            complex(state.channel(1).values[123]), abs=1e-10)
+        assert evaluate_at(state, x, 0.0) == pytest.approx(
+            complex(state.values[123]), abs=1e-10)
 
     def test_peak_follows_worldline(self):
         state = unit_state(center=1.0)
-        peak0 = evaluate_at(state, 1.0, 0.0, 1)
+        peak0 = evaluate_at(state, 1.0, 0.0)
         for t in (0.5, 2.0, 7.0):
-            assert evaluate_at(state, 1.0 + t, t, 1) == pytest.approx(
+            assert evaluate_at(state, 1.0 + t, t) == pytest.approx(
                 peak0, abs=1e-10)
 
     def test_norm_time_independent(self):
         state = unit_state()
         n0 = photon_number(state)
-        evaluate_at(state, 123.0, 123.0, 1)  # representation is t-free
+        evaluate_at(state, 123.0, 123.0)  # representation is t-free
         assert photon_number(state) == n0
 
     def test_out_of_grid(self):
         with pytest.raises(ValueError):
-            evaluate_at(unit_state(), SPAN, 0.0, 1)
+            evaluate_at(unit_state(), SPAN, 0.0)
+
+    @pytest.mark.parametrize("x,t", [(np.nan, 0.0), (0.0, np.inf), (np.nan, np.inf)])
+    def test_non_finite_chi(self, x, t):
+        with pytest.raises(ValueError, match="outside the sampled grid"):
+            evaluate_at(unit_state(), x, t)
 
 
 class TestBoostBlip:
     def test_identity(self):
         state = unit_state(carrier=2.0)
         boosted = boost_field(state, make_boost(0.0), AXIS, power=0.5)
-        assert np.abs(boosted.channel(1).values
-                      - state.channel(1).values).max() < 1e-10
+        assert np.abs(boosted.values - state.values).max() < 1e-10
 
     def test_gaussian_closed_form(self):
         w = 3.0
@@ -97,7 +94,7 @@ class TestBoostBlip:
         chi = target.points()
         expected = np.sqrt(0.5) * (np.pi * w**2) ** -0.25 * np.exp(
             -((0.5 * chi) ** 2) / (2 * w**2))
-        assert np.abs(boosted.channel(1).values - expected).max() < 1e-8
+        assert np.abs(boosted.values - expected).max() < 1e-8
         assert photon_number(boosted) == pytest.approx(1.0, abs=1e-8)
 
     def test_roundtrip(self):
@@ -105,7 +102,7 @@ class TestBoostBlip:
         boost = make_boost(0.6)
         there = boost_field(state, boost, scaled_axis(AXIS, kappa(1, boost)), power=0.5)
         back = boost_field(there, inverse_boost(boost), AXIS, power=0.5)
-        assert l2_distance(back.channel(1), state.channel(1)) < 1e-6
+        assert l2_distance(back, state) < 1e-6
 
     @pytest.mark.parametrize("beta", [0.3, -0.3, 0.6, -0.6, 0.9, -0.9])
     @pytest.mark.parametrize("s", [+1, -1])
@@ -121,83 +118,75 @@ class TestPhotonNumber:
     def test_vacuum(self):
         zero = SampledFunction(axis=AXIS, values=np.zeros(N),
                                representation=Representation.POSITION_CHI, s=1)
-        assert photon_number(Field(channels={(1, "H"): zero})) == 0.0
+        assert photon_number(zero) == 0.0
 
     def test_unit_norm(self):
         assert photon_number(unit_state()) == pytest.approx(1.0, abs=1e-8)
-
-    def test_sums_over_channels(self):
-        f = unit_gaussian_amp(s=1, pol="H")
-        g = unit_gaussian_amp(s=-1, pol="V", carrier=1.0)
-        state = Field(channels={(1, "H"): f, (-1, "V"): g})
-        assert photon_number(state) == pytest.approx(2.0, abs=1e-8)
 
 
 class TestMomentumState:
     def test_gaussian_pair(self):
         w = 3.0
-        mstate = unit_state(width=w).map(to_momentum)
-        k = mstate.channel(1).axis.points()
+        mstate = to_momentum(unit_state(width=w))
+        k = mstate.axis.points()
         expected = (w**2 / np.pi) ** 0.25 * np.exp(-(w**2) * k**2 / 2)
-        assert np.abs(mstate.channel(1).values - expected).max() < 1e-8
+        assert np.abs(mstate.values - expected).max() < 1e-8
 
     def test_zero(self):
         zero = SampledFunction(axis=AXIS, values=np.zeros(N),
                                representation=Representation.POSITION_CHI, s=1)
-        mstate = Field(channels={(1, "H"): zero}).map(to_momentum)
-        assert np.all(mstate.channel(1).values == 0)
+        mstate = to_momentum(zero)
+        assert np.all(mstate.values == 0)
 
     def test_roundtrip(self):
         state = unit_state(carrier=2.0)
-        back = state.map(to_momentum).map(lambda f: to_position(f, target=AXIS))
-        assert np.abs(back.channel(1).values
-                      - state.channel(1).values).max() < 1e-10
+        back = to_position(to_momentum(state), target=AXIS)
+        assert np.abs(back.values - state.values).max() < 1e-10
 
     def test_norm_parseval(self):
         state = unit_state(carrier=2.0)
-        assert photon_number(state.map(to_momentum)) == pytest.approx(
+        assert photon_number(to_momentum(state)) == pytest.approx(
             photon_number(state), abs=1e-10)
 
 
 class TestBoostMomentum:
     def test_identity(self):
-        mstate = unit_state(carrier=2.0).map(to_momentum)
-        boosted = boost_field(mstate, make_boost(0.0), mstate.channel(1).axis,
+        mstate = to_momentum(unit_state(carrier=2.0))
+        boosted = boost_field(mstate, make_boost(0.0), mstate.axis,
                               power=0.5)
-        assert np.abs(boosted.channel(1).values
-                      - mstate.channel(1).values).max() < 1e-10
+        assert np.abs(boosted.values - mstate.values).max() < 1e-10
 
     def test_peak_moves_to_doppler_shifted_mode(self):
         k0 = 2.0
         state = unit_state(width=8.0, carrier=k0)
         boost = make_boost(0.6)
-        mstate = state.map(to_momentum)
+        mstate = to_momentum(state)
         k_target = scaled_axis(AXIS, kappa(1, boost)).conjugate()
         boosted = boost_field(mstate, boost, k_target, power=0.5)
-        peak = k_target.points()[np.argmax(np.abs(boosted.channel(1).values))]
+        peak = k_target.points()[np.argmax(np.abs(boosted.values))]
         assert peak == pytest.approx(xi(1, boost) * k0, abs=2 * k_target.step)
 
     def test_path_commutativity(self):
         state = unit_state(width=3.0, carrier=2.0)
         boost = make_boost(0.6)
         target = scaled_axis(AXIS, kappa(1, boost))
-        via_chi = boost_field(state, boost, target, power=0.5).map(to_momentum)
-        via_k = boost_field(state.map(to_momentum), boost,
-                            via_chi.channel(1).axis, power=0.5)
-        assert l2_distance(via_chi.channel(1), via_k.channel(1)) < 1e-6
+        via_chi = to_momentum(boost_field(state, boost, target, power=0.5))
+        via_k = boost_field(to_momentum(state), boost,
+                            via_chi.axis, power=0.5)
+        assert l2_distance(via_chi, via_k) < 1e-6
 
     def test_norm_preserved(self):
         state = unit_state(carrier=1.0)
         boost = make_boost(0.8)
         k_target = scaled_axis(AXIS, kappa(1, boost)).conjugate()
-        boosted = boost_field(state.map(to_momentum), boost, k_target, power=0.5)
+        boosted = boost_field(to_momentum(state), boost, k_target, power=0.5)
         assert photon_number(boosted) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestModeOccupation:
     def test_full_axis_equals_photon_number(self):
-        mstate = unit_state(carrier=1.0).map(to_momentum)
-        kax = mstate.channel(1).axis
+        mstate = to_momentum(unit_state(carrier=1.0))
+        kax = mstate.axis
         occ = mode_occupation(mstate, kax.start, kax.start + kax.span)
         assert occ == pytest.approx(1.0, abs=1e-8)
 
@@ -207,26 +196,26 @@ class TestModeOccupation:
         dk = 2 * np.pi / 200.0
         k0 = 20 * dk
         state = unit_state(width=12.0, carrier=k0, axis=ax)
-        mstate = state.map(to_momentum)
+        mstate = to_momentum(state)
         window = (k0 - 5 * dk, k0 + 5 * dk)
         assert mode_occupation(mstate, *window) >= 0.98
 
         boost = make_boost(0.6)
         target = scaled_axis(ax, kappa(1, boost))
-        boosted = boost_field(state, boost, target, power=0.5).map(to_momentum)
+        boosted = to_momentum(boost_field(state, boost, target, power=0.5))
         assert mode_occupation(boosted, *window) <= 1e-3
         k_shift = xi(1, boost) * k0
         shifted = (k_shift - 5 * dk, k_shift + 5 * dk)
         assert mode_occupation(boosted, *shifted) >= 0.98
 
     def test_tail_window(self):
-        mstate = unit_state(width=3.0, carrier=1.0).map(to_momentum)
-        kax = mstate.channel(1).axis
+        mstate = to_momentum(unit_state(width=3.0, carrier=1.0))
+        kax = mstate.axis
         # far spectral tail: carrier 1.0, width in k is 1/3
         assert mode_occupation(mstate, 5.0, kax.start + kax.span) <= 1e-6
 
     def test_rejects_empty_window(self):
-        mstate = unit_state().map(to_momentum)
+        mstate = to_momentum(unit_state())
         with pytest.raises(ValueError):
             mode_occupation(mstate, 1.0, 1.0)
 
@@ -277,8 +266,12 @@ class TestFieldMatrixElement:
     def test_zero_state(self):
         zero = SampledFunction(axis=AXIS, values=np.zeros(N),
                                representation=Representation.POSITION_CHI, s=1)
-        me = matrix_element(Field(channels={(1, "H"): zero}))
+        me = matrix_element(zero)
         assert np.all(me.values == 0)
+
+    def test_rejects_v_polarization(self):
+        with pytest.raises(ValueError, match="H-polarized"):
+            matrix_element(unit_state(carrier=2.0, pol="V"))
 
     def test_sqrt_carrier_scaling(self):
         # near-monochromatic state: peak |E| scales as sqrt(k0)
@@ -342,9 +335,9 @@ class TestKernelConsistency:
         state = unit_state(width=3.0, carrier=2.0)
         target = scaled_axis(AXIS, a)
         # psi_a(chi) = psi(chi / a) on the stretched grid
-        psi_a = resample(state.channel(1), scale=1.0 / a, amplitude_factor=1.0,
+        psi_a = resample(state, scale=1.0 / a, amplitude_factor=1.0,
                          target=target)
-        me_a = matrix_element(Field(channels={(1, "H"): psi_a}))
+        me_a = matrix_element(psi_a)
         me = matrix_element(state)
         expected = a ** -0.5 * resample(me, scale=1.0 / a, amplitude_factor=1.0,
                                         target=target).values
@@ -392,14 +385,3 @@ def test_boosted_spikes_stay_orthonormal():
         expected = 1.0 if i == j else 0.0
         assert inner_product(boosted_spike(i), boosted_spike(j)) == pytest.approx(
             expected, abs=1e-12)
-
-
-def test_channels_do_not_mix_under_boost():
-    f = unit_gaussian_amp(s=1, pol="H")
-    g = unit_gaussian_amp(s=-1, pol="V", carrier=1.0)
-    state = Field(channels={(1, "H"): f, (-1, "V"): g})
-    boost = make_boost(0.4)
-    target = scaled_axis(AXIS, kappa(1, boost))
-    boosted = boost_field(state, boost, target, power=0.5)
-    assert set(boosted.channels) == {(1, "H"), (-1, "V")}
-    assert photon_number(boosted) == pytest.approx(2.0, abs=1e-6)

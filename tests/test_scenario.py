@@ -503,6 +503,28 @@ class TestCli:
                         "scn": "PASS"}
         assert (tmp_path / "out" / "report.json").is_file()
 
+    @staticmethod
+    def block_state_input_after_a_pass(tmp_path):
+        path = write_cfg(tmp_path, checks="parseval")
+        assert main(["run", str(path)]) == 0
+        (tmp_path / "out" / "state_input.csv").unlink()
+        (tmp_path / "out" / "state_input.csv").mkdir()
+        return path
+
+    def test_stopped_run_leaves_no_stale_report(self, tmp_path, capsys):
+        path = self.block_state_input_after_a_pass(tmp_path)
+        assert main(["run", str(path)]) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_stopped_check_all_leaves_no_stale_report(self, tmp_path, capsys):
+        self.block_state_input_after_a_pass(tmp_path)
+        capsys.readouterr()
+        assert main(["check-all", str(tmp_path)]) == 1
+        rows = {line.split()[0]: line.split()[1]
+                for line in capsys.readouterr().out.splitlines()}
+        assert rows == {"scn": "CONFIG-ERROR"}
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_numeric_output_dir_is_a_path(self, tmp_path, capsys):
         path = write_cfg(tmp_path, checks="parseval", out="5")
         assert main(["run", str(path)]) == 0
