@@ -2,10 +2,12 @@
 
 Every state is one `SampledFunction`, tagged with its direction s and
 polarization; the physical constants are a separate `FieldConstants`.
-Provides the midpoint-rule inner product, L2 distance, band-limited
-resampling under coordinate rescaling (the discrete realization of
-substitutions like chi' -> scale*chi'), CSV serialization, point
-evaluation, and `boost_field`, which boosts packets and blip states.
+Provides the norm and L2 distance, CSV serialization, and the one
+band-limited evaluator `trig_interpolate` (one FFT and a chirp-z, every
+phase reduced exactly by `_turns`).  Resampling under coordinate rescaling
+(the discrete realization of substitutions like chi' -> scale*chi'),
+point evaluation of a chi function, and `boost_field`, which boosts
+packets and blip states, all read samples through it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "frozen",
     "FieldConstants",
     "evaluate_at",
-    "inner_product",
     "norm",
     "l2_distance",
     "resample",
@@ -151,12 +152,6 @@ def _check_compatible(f: SampledFunction, g: SampledFunction) -> None:
         raise ValueError("mismatched representation/direction/polarization tags")
 
 
-def inner_product(f: SampledFunction, g: SampledFunction) -> complex:
-    """Midpoint-rule inner product step * sum(conj(f) * g)."""
-    _check_compatible(f, g)
-    return complex(f.axis.step * np.vdot(f.values, g.values))
-
-
 def norm(f: SampledFunction) -> float:
     """sqrt(step * sum|f|^2)."""
     return float(np.sqrt(f.axis.step) * np.linalg.norm(f.values))
@@ -168,6 +163,33 @@ def l2_distance(f: SampledFunction, g: SampledFunction) -> float:
     return float(np.sqrt(f.axis.step) * np.linalg.norm(f.values - g.values))
 
 
+def _turns(r: float, q: np.ndarray) -> np.ndarray:
+    """r*q mod 1, in [-1/2, 1/2], for a float r and integers |q| < 2**40,
+    to an eps or two however large r*q is (exact phase reduction: Bailey &
+    Swarztrauber, SIAM Rev. 1991).
+
+    r's significand is split into 13-bit chunks, so that each chunk times q
+    is exact and loses nothing when reduced mod 1.
+    """
+    significand, exponent = math.frexp(r)
+    bits = int(abs(significand) * 2.0 ** 53)  # |r| = bits * 2**(exponent - 53)
+    q = np.asarray(q, dtype=float)
+    out = np.zeros(q.shape)
+    part = np.empty(q.shape)
+    for shift in range(0, 53, 13):
+        chunk = math.ldexp((bits >> shift) & 0x1FFF, exponent - 53 + shift)
+        np.multiply(q, math.copysign(chunk, r), out=part)
+        part -= np.rint(part)  # nearest, not floor: a tiny part stays exact
+        out += part
+    out -= np.rint(out)
+    return out
+
+
+def _cis(turns: np.ndarray) -> np.ndarray:
+    """exp(2*pi*i*turns)."""
+    return np.exp(2j * np.pi * turns)
+
+
 def trig_interpolate(f: SampledFunction, query: Axis) -> tuple[np.ndarray, float]:
     """The trigonometric (band-limited) interpolant of f on the uniform
     `query` axis, and the fraction of f's spectral energy above the query
@@ -176,26 +198,37 @@ def trig_interpolate(f: SampledFunction, query: Axis) -> tuple[np.ndarray, float
     Queries that are f's samples up to rounding (same count, both end
     points within 8 eps of the largest |coordinate|) return f's read-only
     samples themselves, not a copy, and no leakage.  Others take one FFT of
-    f and a chirp-z transform, O(N log N) regardless of the query spacing,
-    and read 0 outside f's sampled span, where the interpolant repeats f
-    periodically.
+    f and a Bluestein chirp-z transform (three FFTs), O(N log N) regardless
+    of the query spacing, and read 0 outside f's sampled span, where the
+    interpolant repeats f periodically.  Every phase is reduced exactly by
+    `_turns`, which bounds an off-sample query to n + m <= 2**21 points.
     """
     lo, hi = f.axis.start, f.axis.end
     tol = 8.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
     if (query.count == f.axis.count and abs(query.start - lo) <= tol
             and abs(query.end - hi) <= tol):
         return f.values, 0.0
-    from scipy.signal import czt  # imported here: on-sample queries never need it
-    n = f.axis.count
+    n, m = f.axis.count, query.count
+    if n + m > 2**21:  # keeps every square below in _turns's exact range
+        raise ValueError(f"an off-sample query needs n + m <= 2**21 points, "
+                         f"got {n} + {m}")
     u = 2.0 * np.pi / f.axis.span
     coeff = np.fft.fftshift(np.fft.fft(f.values))
     freqs = np.arange(-(n // 2), n // 2)
     power = np.abs(coeff) ** 2
     total = power.sum()
     lost = power[u * np.abs(freqs) > np.pi / query.step].sum()
-    d = coeff * np.exp(1j * u * freqs * (query.start - lo))
-    out = czt(d, query.count, w=np.exp(1j * u * query.step), a=1.0)
-    out *= np.exp(-1j * u * (n // 2) * np.arange(query.count) * query.step)
+    # At the centred query point j, -m/2 <= j < m/2, coefficient q turns
+    # by q*a + r*q*j, and q*j = (q**2 + j**2 - (j - q)**2)/2 (Bluestein 1970)
+    # makes the sum over q a convolution with the chirp at j - q.
+    r = query.step / f.axis.span
+    a = (query.start - lo + (m // 2) * query.step) / f.axis.span
+    k = np.arange(1 - (n + m) // 2, (n + m) // 2)  # every q, j and j - q
+    chirp = _cis(_turns(r / 2, k * k))
+    coeff *= _cis(_turns(a, freqs)) * chirp[m // 2 - 1:m // 2 - 1 + n]
+    size = 1 << (n + m - 2).bit_length()
+    out = np.fft.ifft(np.fft.fft(coeff, size) * np.fft.fft(chirp.conj(), size))
+    out = out[n - 1:n - 1 + m] * chirp[n // 2 - 1:n // 2 - 1 + m]
     x = query.points()
     out[(x < lo) | (x > hi)] = 0.0
     return out / n, float(lost / total) if total > 0 else 0.0
@@ -203,15 +236,15 @@ def trig_interpolate(f: SampledFunction, query: Axis) -> tuple[np.ndarray, float
 
 def evaluate_at(f: SampledFunction, x: float, t: float,
                 constants: FieldConstants = FieldConstants()) -> complex:
-    """Amplitude at (x, t): exact relabeling f(x - s*c*t) with f's direction s."""
+    """Amplitude at (x, t) of a chi function: the interpolant at
+    chi = x - s*c*t with f's direction s (exact relabeling).
+    """
+    if f.representation is not Representation.POSITION_CHI:
+        raise ValueError("evaluate_at requires a position-chi function")
     chi = x - f.s * constants.c * t
     if not (f.axis.start <= chi <= f.axis.end):
         raise ValueError(f"chi = {chi} outside the sampled grid")
-    # The trigonometric interpolant at one point: one FFT and one O(N) sum.
-    n = f.axis.count
-    freqs = np.arange(-(n // 2), n // 2)
-    phases = np.exp(2j * np.pi / f.axis.span * freqs * (chi - f.axis.start))
-    return complex(np.fft.fftshift(np.fft.fft(f.values)) @ phases) / n
+    return complex(trig_interpolate(f, Axis(start=chi, step=f.axis.step, count=2))[0][0])
 
 
 def resample(

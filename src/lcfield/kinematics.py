@@ -1,4 +1,4 @@
-"""Boost parameters and light-cone coordinate transformations.
+"""Boost parameters and the Doppler factors of the light-cone coordinate.
 
 Works in the light-cone variable chi = x - s*c*t, where s = +1 labels
 right-moving and s = -1 left-moving signals.  A boost with velocity
@@ -13,13 +13,10 @@ from dataclasses import dataclass
 
 __all__ = [
     "BoostParams",
-    "LightConeCoord",
     "SignalExchangeRecord",
     "make_boost",
     "kappa",
     "xi",
-    "chi_of_event",
-    "boost_coord",
     "inverse_boost",
     "compose_boosts",
     "simulate_signal_exchange",
@@ -38,17 +35,6 @@ class BoostParams:
 
     beta: float
     gamma: float
-
-
-@dataclass(frozen=True)
-class LightConeCoord:
-    """A light-cone coordinate chi together with its direction flag s."""
-
-    chi: float
-    s: int
-
-    def __post_init__(self):
-        _check_direction(self.s)
 
 
 @dataclass(frozen=True)
@@ -85,21 +71,6 @@ def xi(s: int, boost: BoostParams) -> float:
     """Amplitude factor gamma*(1 - s*beta); reciprocal of kappa."""
     _check_direction(s)
     return boost.gamma * (1.0 - s * boost.beta)
-
-
-def chi_of_event(x: float, t: float, s: int, c: float = 1.0) -> LightConeCoord:
-    """Light-cone coordinate chi = x - s*c*t of a spacetime event."""
-    _check_direction(s)
-    if not (math.isfinite(x) and math.isfinite(t) and math.isfinite(c)):
-        raise ValueError("event coordinates and c must be finite")
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c!r}")
-    return LightConeCoord(chi=x - s * c * t, s=s)
-
-
-def boost_coord(coord: LightConeCoord, boost: BoostParams) -> LightConeCoord:
-    """Map a light-cone coordinate into the boosted frame; s is unchanged."""
-    return LightConeCoord(chi=kappa(coord.s, boost) * coord.chi, s=coord.s)
 
 
 def inverse_boost(boost: BoostParams) -> BoostParams:

@@ -3,7 +3,8 @@
 Forward kernel is e^{-i*s*k*chi}, inverse e^{+i*s*k*chi}, both with the
 symmetric 1/sqrt(2*pi) normalization; discrete sums carry the grid step so
 the discrete and continuum normalizations agree.  The k axis is symmetric
-about zero, so negative wave numbers are always present.
+about zero, so negative wave numbers are always present.  Phases are
+reduced exactly by `grid._turns`, as in the band-limited evaluator.
 """
 
 from __future__ import annotations
@@ -12,31 +13,9 @@ import math
 
 import numpy as np
 
-from .grid import Axis, Representation, SampledFunction, frozen, norm
+from .grid import Axis, Representation, SampledFunction, _cis, _turns, frozen, norm
 
 __all__ = ["to_momentum", "to_position", "parseval_check"]
-
-
-def _turns(r: float, q: np.ndarray) -> np.ndarray:
-    """r*q mod 1, in [-1/2, 1/2], for a float r and integers |q| < 2**40,
-    to an eps or two however large r*q is (exact phase reduction: Bailey &
-    Swarztrauber, SIAM Rev. 1991).
-
-    r's significand is split into 13-bit chunks, so that each chunk times q
-    is exact and loses nothing when reduced mod 1.
-    """
-    significand, exponent = math.frexp(r)
-    bits = int(abs(significand) * 2.0 ** 53)  # |r| = bits * 2**(exponent - 53)
-    q = np.asarray(q, dtype=float)
-    out = np.zeros(q.shape)
-    part = np.empty(q.shape)
-    for shift in range(0, 53, 13):
-        chunk = math.ldexp((bits >> shift) & 0x1FFF, exponent - 53 + shift)
-        np.multiply(q, math.copysign(chunk, r), out=part)
-        part -= np.rint(part)  # nearest, not floor: a tiny part stays exact
-        out += part
-    out -= np.rint(out)
-    return out
 
 
 def _linear_phase(r: float, n: int) -> np.ndarray:
@@ -47,8 +26,8 @@ def _linear_phase(r: float, n: int) -> np.ndarray:
     complex exps instead of n.
     """
     width = 1 << (n.bit_length() // 2)
-    coarse = np.exp(2j * np.pi * _turns(r, np.arange(-(n // 2), n // 2, width)))
-    fine = np.exp(2j * np.pi * _turns(r, np.arange(width)))
+    coarse = _cis(_turns(r, np.arange(-(n // 2), n // 2, width)))
+    fine = _cis(_turns(r, np.arange(width)))
     return np.multiply.outer(coarse, fine).ravel()[:n]
 
 

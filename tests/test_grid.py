@@ -14,7 +14,6 @@ from lcfield.grid import (
     Representation,
     SampledFunction,
     boost_field,
-    inner_product,
     l2_distance,
     norm,
     read_csv,
@@ -23,6 +22,7 @@ from lcfield.grid import (
     write_csv,
 )
 from lcfield.kinematics import kappa, make_boost, xi
+from lcfield.spectral import to_momentum
 
 
 def make_axis(n=1024, span=40.0, start=None):
@@ -87,7 +87,8 @@ def test_field_constants_finite_and_positive(name, value):
 
 
 def test_evaluate_at_matches_interpolant_without_scipy_signal():
-    # One FFT and a direct sum; the chirp-z path (and scipy.signal) stays unused.
+    # evaluate_at is the evaluator's count-2 query at chi; no scipy module
+    # takes part in either call.
     code = (
         "import sys, numpy as np\n"
         "from lcfield.grid import Axis, Representation, SampledFunction, "
@@ -105,6 +106,32 @@ def test_evaluate_at_matches_interpolant_without_scipy_signal():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert run.stdout.splitlines() == ["False", "True"]
+
+
+def test_off_sample_queries_import_no_scipy():
+    code = (
+        "import sys, numpy as np\n"
+        "from lcfield.grid import Axis, Representation, SampledFunction, "
+        "evaluate_at, resample\n"
+        "ax = Axis(start=-100.0, step=200.0 / 2**12, count=2**12)\n"
+        "x = ax.points()\n"
+        "f = SampledFunction(axis=ax, values=np.exp(-x**2 / 288),\n"
+        "                    representation=Representation.POSITION_CHI, s=1)\n"
+        "resample(f, 1.25, 1.0, ax)\n"
+        "evaluate_at(f, 3.0123, 0.5)\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+    src = str(pathlib.Path(grid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines() == ["[]"]
+
+
+def test_evaluate_at_rejects_momentum_function():
+    # A k axis is not a chi axis: relabeling it as one gives a wrong number.
+    f = unit_gaussian(make_axis(n=256, span=40.0), width=3.0)
+    with pytest.raises(ValueError, match="position-chi"):
+        grid.evaluate_at(to_momentum(f), 0.5, 0.25)
 
 
 class TestSampledFunction:
@@ -156,48 +183,6 @@ class TestSampledFunction:
         f = unit_gaussian(make_axis(), carrier=1.0)
         out, leak = trig_interpolate(f, f.axis)
         assert out is f.values and leak == 0.0
-
-
-class TestInnerProduct:
-    def test_constant_function_gives_span(self):
-        ax = make_axis(n=512, span=20.0)
-        f = position_fn(ax, np.ones(512))
-        assert inner_product(f, f) == pytest.approx(20.0, rel=1e-12)
-
-    def test_parity_orthogonality(self):
-        ax = Axis(start=-10.0, step=20.0 / 1024, count=1024)
-        chi = ax.points() + ax.step / 2  # symmetric about 0
-        odd = position_fn(ax, chi * np.exp(-chi**2))
-        even = position_fn(ax, np.exp(-chi**2))
-        assert abs(inner_product(odd, even)) < 1e-12
-
-    def test_unit_gaussian_norm(self):
-        f = unit_gaussian(make_axis())
-        assert inner_product(f, f).real == pytest.approx(1.0, abs=1e-8)
-
-    def test_conjugate_symmetry_and_linearity(self):
-        rng = np.random.default_rng(1)
-        ax = make_axis(n=64, span=4.0)
-        f = position_fn(ax, rng.normal(size=64) + 1j * rng.normal(size=64))
-        g = position_fn(ax, rng.normal(size=64) + 1j * rng.normal(size=64))
-        h = position_fn(ax, rng.normal(size=64) + 1j * rng.normal(size=64))
-        assert inner_product(f, g) == pytest.approx(
-            np.conj(inner_product(g, f)), abs=1e-12)
-        a, b = 1.3 - 0.2j, -0.7 + 2.1j
-        combo = position_fn(ax, a * g.values + b * h.values)
-        assert inner_product(f, combo) == pytest.approx(
-            a * inner_product(f, g) + b * inner_product(f, h), abs=1e-12)
-
-    def test_rejects_mismatch(self):
-        f = unit_gaussian(make_axis(n=64, span=4.0))
-        g = unit_gaussian(make_axis(n=128, span=4.0))
-        with pytest.raises(ValueError):
-            inner_product(f, g)
-        h = SampledFunction(axis=f.axis, values=f.values,
-                            representation=Representation.POSITION_CHI,
-                            s=-1)
-        with pytest.raises(ValueError):
-            inner_product(f, h)
 
 
 class TestL2Distance:
@@ -293,16 +278,53 @@ class TestResample:
         assert np.abs(out - exact).max() < 1e-10
         assert np.abs(out - f.values).max() > 1e-8
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP open item 2: off-grid chirp-z "
-                       "queries lose about k^2*eps in the chirp phases")
-    def test_off_grid_gaussian_exact_at_2_18(self):
-        n = 2**18
+    @staticmethod
+    def off_grid_gaussian_error(n):
+        """max |resampled - exact| / peak for a width-12 Gaussian scaled by 1.25."""
         ax = Axis(start=-100.0, step=200.0 / n, count=n)
         chi = ax.points()
         f = position_fn(ax, np.exp(-chi**2 / (2 * 12.0**2)))
         g = resample(f, 1.25, 1.0, ax)
         exact = np.exp(-(1.25 * chi) ** 2 / (2 * 12.0**2))
-        assert np.abs(g.values - exact).max() <= 1e-12 * np.abs(f.values).max()
+        return np.abs(g.values - exact).max() / np.abs(f.values).max()
+
+    def test_off_grid_gaussian_exact_at_2_18(self):
+        assert self.off_grid_gaussian_error(2**18) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2**12, 2**14, 2**16])
+    def test_off_grid_gaussian_exact_below_2_18(self, n):
+        # Exact chirp phases: the error stays at round-off as N grows.
+        assert self.off_grid_gaussian_error(n) <= 1e-12
+
+    @pytest.mark.parametrize("rep", list(Representation))
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_off_sample_query_matches_direct_sum(self, s, rep):
+        # The O(n*m) sum the chirp-z evaluates: (1/n) sum_q c_q
+        # exp(2*pi*i*q*(x - lo)/span), q = -n/2 ... n/2 - 1, with the c_q
+        # from a direct DFT, and 0 outside the sampled span.
+        rng = np.random.default_rng([s + 1, list(Representation).index(rep)])
+        for _ in range(5):
+            n, m = 2 * int(rng.integers(1, 129)), 2 * int(rng.integers(1, 151))
+            ax = Axis(start=rng.uniform(-50.0, 50.0), step=rng.uniform(0.05, 2.0),
+                      count=n)
+            f = SampledFunction(axis=ax, values=rng.normal(size=(n, 2)) @ [1, 1j],
+                                representation=rep, s=s)
+            query = Axis(start=ax.start + rng.uniform(-0.1, 0.5) * ax.span,
+                         step=rng.uniform(0.05, 2.0) * ax.span / m, count=m)
+            q = np.arange(-(n // 2), n // 2)
+            coeff = np.exp(-2j * np.pi * (np.outer(q, np.arange(n)) % n) / n) @ f.values
+            x = query.points()
+            want = np.exp(2j * np.pi * np.outer((x - ax.start) / ax.span, q)) @ coeff / n
+            want[(x < ax.start) | (x > ax.end)] = 0.0
+            got, _ = trig_interpolate(f, query)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_off_sample_query_beyond_exact_phase_range_raises(self):
+        # Axis points are computed on demand: nothing of 2**22 is allocated.
+        f = unit_gaussian(make_axis(n=8, span=8.0))
+        for count in (2**22, 2**21 - 6):
+            with pytest.raises(ValueError, match=r"n \+ m <= 2\*\*21"):
+                trig_interpolate(f, Axis(start=0.1, step=1e-6, count=count))
 
 
 class TestBoostField:

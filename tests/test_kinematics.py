@@ -5,9 +5,6 @@ from hypothesis import given, strategies as st
 
 from lcfield.kinematics import (
     BoostParams,
-    LightConeCoord,
-    boost_coord,
-    chi_of_event,
     compose_boosts,
     inverse_boost,
     kappa,
@@ -75,39 +72,17 @@ class TestFactors:
 
 
 class TestCoordinates:
-    def test_chi_of_event(self):
-        assert chi_of_event(5.0, 0.0, +1).chi == 5.0
-        assert chi_of_event(5.0, 2.0, +1).chi == 3.0
-        assert chi_of_event(5.0, 2.0, -1).chi == 7.0
-
-    def test_chi_rejects_bad_c(self):
-        with pytest.raises(ValueError):
-            chi_of_event(1.0, 1.0, +1, c=0.0)
-
-    def test_boost_coord(self):
-        b = make_boost(0.6)
-        assert boost_coord(LightConeCoord(4.0, +1), b).chi == pytest.approx(8.0)
-        assert boost_coord(LightConeCoord(4.0, -1), b).chi == pytest.approx(2.0)
-        ident = make_boost(0.0)
-        assert boost_coord(LightConeCoord(3.7, +1), ident).chi == 3.7
-
-    def test_direction_preserved(self):
-        b = make_boost(0.4)
-        assert boost_coord(LightConeCoord(1.0, -1), b).s == -1
-
     @given(beta=betas, s=directions, chi=st.floats(-1e6, 1e6))
     def test_roundtrip_identity(self, beta, s, chi):
         b = make_boost(beta)
-        there = boost_coord(LightConeCoord(chi, s), b)
-        back = boost_coord(there, inverse_boost(b))
-        assert back.chi == pytest.approx(chi, rel=1e-12, abs=1e-12)
+        there = kappa(s, b) * chi
+        back = kappa(s, inverse_boost(b)) * there
+        assert back == pytest.approx(chi, rel=1e-12, abs=1e-12)
 
     def test_exact_scalar_roundtrip(self):
         # kappa * xi is an exact product of reciprocal factors at beta=0.6
         b = make_boost(0.6)
-        coord = boost_coord(boost_coord(LightConeCoord(7.0, +1), b),
-                            inverse_boost(b))
-        assert coord.chi == 7.0
+        assert kappa(+1, inverse_boost(b)) * (kappa(+1, b) * 7.0) == 7.0
 
 
 class TestInverseAndComposition:

@@ -345,43 +345,3 @@ class TestKernelConsistency:
         rel = (np.linalg.norm(me_a.values - expected)
                / np.linalg.norm(expected))
         assert rel < 1e-3
-
-
-def test_spike_blips_are_orthonormal():
-    # delta-normalized spikes 1/sqrt(step) at distinct grid points
-    ax = Axis(start=-4.0, step=0.125, count=64)
-    amp = 1.0 / np.sqrt(ax.step)
-
-    def spike(i):
-        v = np.zeros(64, dtype=complex)
-        v[i] = amp
-        return SampledFunction(axis=ax, values=v,
-                               representation=Representation.POSITION_CHI, s=1)
-
-    from lcfield.grid import inner_product
-    for i, j in [(3, 3), (3, 7), (20, 21), (40, 40)]:
-        expected = 1.0 if i == j else 0.0
-        assert inner_product(spike(i), spike(j)) == pytest.approx(
-            expected, abs=1e-12)
-
-
-def test_boosted_spikes_stay_orthonormal():
-    # exact kappa-scaling maps spike families to spike families with the
-    # sqrt(xi) amplitude keeping <blip_i, blip_j> = delta_ij
-    ax = Axis(start=-4.0, step=0.125, count=64)
-    boost = make_boost(0.6)
-    kap = kappa(1, boost)
-    target = Axis(start=ax.start * kap, step=ax.step * kap, count=64)
-    amp_b = np.sqrt(xi(1, boost)) / np.sqrt(ax.step)
-
-    def boosted_spike(i):
-        v = np.zeros(64, dtype=complex)
-        v[i] = amp_b
-        return SampledFunction(axis=target, values=v,
-                               representation=Representation.POSITION_CHI, s=1)
-
-    from lcfield.grid import inner_product
-    for i, j in [(5, 5), (5, 6), (30, 30)]:
-        expected = 1.0 if i == j else 0.0
-        assert inner_product(boosted_spike(i), boosted_spike(j)) == pytest.approx(
-            expected, abs=1e-12)

@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcfield.grid import Axis, Representation, SampledFunction, norm
-from lcfield.spectral import _turns, parseval_check, to_momentum, to_position
+from lcfield.grid import Axis, Representation, SampledFunction, _turns, norm
+from lcfield.spectral import parseval_check, to_momentum, to_position
 
 
 def make_axis(n=2048, span=80.0):
