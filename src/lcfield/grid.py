@@ -79,6 +79,14 @@ class Axis:
     def points(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count)
 
+    def matches(self, other: "Axis") -> bool:
+        """Whether `other` is this axis up to rounding: the same count, and
+        both end points within 8 eps of this axis's largest |coordinate|.
+        """
+        tol = 8.0 * math.ulp(1.0) * max(abs(self.start), abs(self.end))
+        return (other.count == self.count and abs(other.start - self.start) <= tol
+                and abs(other.end - self.end) <= tol)
+
     def conjugate(self) -> "Axis":
         """The symmetric k axis dual to this chi axis (and vice versa)."""
         dk = 2.0 * np.pi / self.span
@@ -195,19 +203,17 @@ def trig_interpolate(f: SampledFunction, query: Axis) -> tuple[np.ndarray, float
     `query` axis, and the fraction of f's spectral energy above the query
     axis's Nyquist wavenumber pi/query.step (the part it cannot represent).
 
-    Queries that are f's samples up to rounding (same count, both end
-    points within 8 eps of the largest |coordinate|) return f's read-only
-    samples themselves, not a copy, and no leakage.  Others take one FFT of
-    f and a Bluestein chirp-z transform (three FFTs), O(N log N) regardless
-    of the query spacing, and read 0 outside f's sampled span, where the
-    interpolant repeats f periodically.  Every phase is reduced exactly by
-    `_turns`, which bounds an off-sample query to n + m <= 2**21 points.
+    Queries that are f's samples up to rounding (`f.axis.matches(query)`)
+    return f's read-only samples themselves, not a copy, and no leakage.
+    Others take one FFT of f and a Bluestein chirp-z transform (three
+    FFTs), O(N log N) regardless of the query spacing, and read 0 outside
+    f's sampled span, where the interpolant repeats f periodically.  Every
+    phase is reduced exactly by `_turns`, which bounds an off-sample query
+    to n + m <= 2**21 points.
     """
-    lo, hi = f.axis.start, f.axis.end
-    tol = 8.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
-    if (query.count == f.axis.count and abs(query.start - lo) <= tol
-            and abs(query.end - hi) <= tol):
+    if f.axis.matches(query):
         return f.values, 0.0
+    lo, hi = f.axis.start, f.axis.end
     n, m = f.axis.count, query.count
     if n + m > 2**21:  # keeps every square below in _turns's exact range
         raise ValueError(f"an off-sample query needs n + m <= 2**21 points, "
@@ -314,9 +320,12 @@ def write_csv(f: SampledFunction, path) -> None:
 
 def read_csv(path, representation: Representation, s: int,
              pol: str = "H") -> SampledFunction:
-    """Read a SampledFunction written by `write_csv`.
+    """Read a SampledFunction from `coordinate,re,im` rows, such as
+    `write_csv` writes (any float format, LF or CRLF line endings).
 
     The coordinate column must form a uniform ascending grid of even length.
+    Its step is inferred from the whole span, (last - first)/(count - 1), so
+    that the end point is kept to rounding however many rows there are.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -333,7 +342,7 @@ def read_csv(path, representation: Representation, s: int,
         raise ValueError(f"{path}: need at least 2 samples")
     coords = data[:, 0]
     steps = np.diff(coords)
-    step = steps[0]
+    step = (coords[-1] - coords[0]) / (len(coords) - 1)
     if step <= 0 or not np.allclose(steps, step, rtol=1e-9, atol=0.0):
         raise ValueError(f"{path}: coordinates must be uniform and ascending")
     axis = Axis(start=float(coords[0]), step=float(step), count=len(coords))

@@ -3,7 +3,11 @@
 Reads a declarative scenario config (flat `dotted.key = value` text),
 builds the packet and blip state (one sampled function each), applies
 each boost, runs the named invariant checks, and writes a JSON report
-and CSV sample dumps into the scenario's output directory.
+and the input amplitude, `state_input.csv`, into the scenario's output
+directory.  A custom input's `state_input.csv` is the input file's own
+bytes, copied and then parsed, and its axis must match the config's grid
+(`Axis.matches`); a generated amplitude is written by `write_table`.  A
+rejected input leaves no `state_input.csv`.
 
 Each boost's packet and state are built once and shared by the checks;
 a per-boost check keeps its worst record over the boosts.
@@ -236,15 +240,16 @@ def load_config(path) -> ScenarioConfig:
     return config
 
 
-def _build_amplitude(config: ScenarioConfig, config_dir: Path) -> SampledFunction:
+def _build_amplitude(config: ScenarioConfig, artifact: Path) -> SampledFunction:
+    """A custom amplitude, parsed from `artifact` (the run's copy of its
+    input file) and put on `config.grid`, or a generated one.
+    """
     if config.state_kind == "custom":
-        path = Path(config.state_file)
-        if not path.is_absolute():
-            path = config_dir / path
-        f = read_csv(path, Representation.POSITION_CHI, config.state_s,
+        f = read_csv(artifact, Representation.POSITION_CHI, config.state_s,
                      config.state_pol)
-        if f.axis != config.grid:
+        if not f.axis.matches(config.grid):
             raise ValueError("custom sample grid does not match grid spec")
+        f = f.with_values(f.values, axis=config.grid)
     else:
         chi = config.grid.points()
         vals = config.state_amplitude * np.exp(
@@ -397,13 +402,32 @@ def run_scenario(config: ScenarioConfig, config_dir: Path | None = None) -> Scen
     write_output(out_dir / "report.json", lambda path: path.unlink(missing_ok=True))
 
     boosts = [make_boost(b) for b in config.boosts] or [make_boost(0.0)]
+    # state_input.csv holds the amplitude the checks run on: a custom
+    # input's own bytes, copied and then parsed, or a generated amplitude,
+    # written once accepted.  A rejected input leaves none, but the
+    # config's own state.file is never rewritten or removed.
+    artifact = out_dir / "state_input.csv"
+    custom = config.state_kind == "custom"
+    own = False
     try:
-        amp = _build_amplitude(config, config_dir)
+        if custom:
+            source = config_dir / config.state_file  # an absolute path stays as is
+            own = source.resolve() == artifact.resolve()
+            if not own:
+                raw = source.read_bytes()
+                write_output(artifact, lambda path: path.write_bytes(raw))
+                del raw  # released before the checks run
+        amp = _build_amplitude(config, artifact)
+    except ConfigError:
+        raise
     except Exception as exc:
+        if not own:
+            write_output(artifact, lambda path: path.unlink(missing_ok=True))
         checks = [_errored(name, config.tolerance(name), str(exc))
                   for name in config.checks]
         return _finalize(config, checks, out_dir)
-    write_output(out_dir / "state_input.csv", lambda path: write_csv(amp, path))
+    if not custom:
+        write_output(artifact, lambda path: write_csv(amp, path))
 
     src = _Source(config, amp, boosts)
     worst = {}  # check name -> its worst record so far, or its error

@@ -70,6 +70,16 @@ class TestAxis:
         with pytest.raises(ValueError):
             Axis(start=start, step=step, count=4)
 
+    def test_matches_up_to_rounding(self):
+        ax = Axis(start=-40.0, step=0.1, count=800)
+        assert ax.matches(Axis(start=-40.0, step=(ax.end + 40.0) / 799, count=800))
+        assert ax.matches(Axis(start=-40.0 + 4e-14, step=0.1, count=800)) is True
+        # The step of the first two of ax's points, 799 times, misses the end.
+        assert not ax.matches(Axis(start=-40.0, step=0.10000000000000142, count=800))
+        assert not ax.matches(Axis(start=-40.0, step=0.1 * (1 + 1e-9), count=800))
+        assert not ax.matches(Axis(start=-40.0 + 1e-9, step=0.1, count=800))
+        assert not ax.matches(Axis(start=-40.0, step=0.1, count=802))
+
     def test_conjugate_is_symmetric(self):
         ax = make_axis(n=256, span=10.0)
         k = ax.conjugate()
@@ -368,6 +378,22 @@ class TestCsv:
         assert g.axis == f.axis
         # Compared by bits: assert_array_equal takes -0.0 == 0.0.
         np.testing.assert_array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
+
+    @pytest.mark.parametrize("start, step, count", [
+        (-40.0, 0.0390625, 2048), (-100.0, 200.0 / 2**18, 2**18), (-5.0, 0.125, 80)])
+    def test_dyadic_step_read_exactly(self, tmp_path, start, step, count):
+        axis = Axis(start=start, step=step, count=count)
+        write_csv(position_fn(axis, np.ones(count)), tmp_path / "f.csv")
+        assert read_csv(tmp_path / "f.csv", Representation.POSITION_CHI, s=1).axis == axis
+
+    def test_step_read_from_whole_span(self, tmp_path):
+        # 0.1 is not dyadic: the first two coordinates differ by
+        # 0.10000000000000142, whose 799 steps would miss the end by 1.1e-12.
+        axis = Axis(start=-40.0, step=0.1, count=800)
+        write_csv(position_fn(axis, np.ones(800)), tmp_path / "f.csv")
+        g = read_csv(tmp_path / "f.csv", Representation.POSITION_CHI, s=1)
+        assert g.axis.step == (axis.end - axis.start) / 799
+        assert g.axis.matches(axis) and g.axis.end == axis.end
 
     def test_bytes_match_savetxt(self, tmp_path):
         # More rows than one formatting block, and values whose text is special.

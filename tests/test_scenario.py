@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from lcfield import scenario, spectral
+from lcfield import grid, scenario, spectral
 from lcfield.cli import main
 from lcfield.grid import Axis, FieldConstants, boost_field
 from lcfield.kinematics import make_boost, simulate_signal_exchange
@@ -313,6 +313,120 @@ class TestRunScenario:
         assert report.all_passed
 
 
+def write_packet(path, amplitude=1.0):
+    """SMALL_CFG's grid and a width-4 Gaussian with carrier 2, as the
+    `coordinate,re,im` rows np.savetxt writes at 17 significant digits.
+    """
+    chi = -40.0 + 0.0390625 * np.arange(2048)
+    vals = amplitude * np.exp(-chi ** 2 / 32.0 + 2j * chi)
+    np.savetxt(path, np.column_stack([chi, vals.real, vals.imag]), fmt="%.17g",
+               delimiter=",", header="coordinate,re,im", comments="")
+
+
+CUSTOM_INPUT = "state.kind = custom\nstate.file = packet.csv\n"
+
+
+class TestStateInput:
+    """state_input.csv holds the amplitude the checks ran on: a custom
+    input's own bytes, or a generated amplitude written by write_table.
+    """
+
+    @staticmethod
+    def count_write_table(monkeypatch):
+        calls = []
+        write_table = grid.write_table
+        monkeypatch.setattr(grid, "write_table",
+                            lambda *args: calls.append(args[0]) or write_table(*args))
+        return calls
+
+    @pytest.mark.parametrize("writer", ["savetxt_lf", "write_csv_crlf"])
+    def test_custom_input_bytes_kept(self, tmp_path, monkeypatch, capsys, writer):
+        packet = tmp_path / "packet.csv"
+        write_packet(packet)
+        if writer == "write_csv_crlf":
+            f = grid.read_csv(packet, grid.Representation.POSITION_CHI, s=1)
+            grid.write_csv(f, packet)
+        calls = self.count_write_table(monkeypatch)
+        assert main(["run", str(write_cfg(tmp_path, extra=CUSTOM_INPUT))]) == 0
+        assert (tmp_path / "out" / "state_input.csv").read_bytes() == packet.read_bytes()
+        assert calls == []
+
+    def test_generated_input_written_once(self, tmp_path, monkeypatch, capsys):
+        calls = self.count_write_table(monkeypatch)
+        assert main(["run", str(write_cfg(tmp_path))]) == 0
+        assert calls == [tmp_path / "out" / "state_input.csv"]
+
+    @staticmethod
+    def reject(tmp_path, why):
+        """Turn a passing config's input into one the run rejects; returns
+        the config's extra lines and the message every check errors with.
+        """
+        packet = tmp_path / "packet.csv"
+        if why == "zero generated":
+            return "state.amplitude = 0.0\n", "input amplitude is zero everywhere"
+        if why == "zero":
+            write_packet(packet, amplitude=0.0)
+            message = "input amplitude is zero everywhere"
+        elif why == "missing":
+            packet.unlink()
+            message = "No such file"
+        elif why == "unparsable":
+            packet.write_text("coordinate,re,im\n0.0,1.0\n")
+            message = "3 columns"
+        else:  # two samples more than the config's grid
+            with open(packet, "a") as fh:
+                fh.write("40,0,0\n40.0390625,0,0\n")
+            message = "custom sample grid does not match grid spec"
+        return CUSTOM_INPUT, message
+
+    @pytest.mark.parametrize("why", ["zero generated", "zero", "missing",
+                                     "unparsable", "mismatched"])
+    def test_rejected_input_leaves_no_state_input(self, tmp_path, capsys, why):
+        write_packet(tmp_path / "packet.csv")
+        extra = "" if why == "zero generated" else CUSTOM_INPUT
+        assert main(["run", str(write_cfg(tmp_path, extra=extra))]) == 0
+        assert (tmp_path / "out" / "state_input.csv").is_file()
+        extra, message = self.reject(tmp_path, why)
+        assert main(["run", str(write_cfg(tmp_path, extra=extra))]) == 1
+        assert not (tmp_path / "out" / "state_input.csv").exists()
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(payload["checks"]) == len(ALL_CHECKS)
+        for rec in payload["checks"]:
+            assert rec["errored"] and message in rec["diagnostics"]["error"]
+
+    @pytest.mark.parametrize("amplitude", [1.0, 0.0])
+    def test_own_state_input_untouched(self, tmp_path, capsys, amplitude):
+        own = tmp_path / "out" / "state_input.csv"
+        own.parent.mkdir()
+        write_packet(own, amplitude=amplitude)
+        before = own.read_bytes(), own.stat().st_mtime_ns
+        path = write_cfg(tmp_path, extra="state.kind = custom\n"
+                                          "state.file = out/state_input.csv\n")
+        assert main(["run", str(path)]) == (0 if amplitude else 1)
+        assert (own.read_bytes(), own.stat().st_mtime_ns) == before
+
+    GRID_800 = "grid.start = -40\ngrid.step = 0.1\ngrid.count = 800\n"
+
+    def test_non_dyadic_custom_roundtrip(self, tmp_path, capsys):
+        assert main(["run", str(write_cfg(tmp_path, extra=self.GRID_800))]) == 0
+        extra = (self.GRID_800 + "state.kind = custom\n"
+                 "state.file = out/state_input.csv\noutput_dir = out2\n")
+        assert main(["run", str(write_cfg(tmp_path, extra=extra))]) == 0
+        assert ((tmp_path / "out2" / "state_input.csv").read_bytes()
+                == (tmp_path / "out" / "state_input.csv").read_bytes())
+
+    def test_custom_step_off_by_1e_9_errors(self, tmp_path, capsys):
+        chi = -40.0 + 0.1 * (1 + 1e-9) * np.arange(800)
+        np.savetxt(tmp_path / "packet.csv",
+                   np.column_stack([chi, np.exp(-chi ** 2 / 32.0), 0.0 * chi]),
+                   fmt="%.17g", delimiter=",", header="coordinate,re,im", comments="")
+        path = write_cfg(tmp_path, extra=self.GRID_800 + CUSTOM_INPUT)
+        assert main(["run", str(path)]) == 1
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert {rec["diagnostics"]["error"] for rec in payload["checks"]} == {
+            "custom sample grid does not match grid spec"}
+
+
 def with_power(wrong: float, right: float):
     """boost_field, but with amplitude power `wrong` where `right` is due."""
     def patched(field, boost, target, power):
@@ -478,15 +592,19 @@ class TestCli:
         assert rows == {"blocked": "CONFIG-ERROR", "latin1": "CONFIG-ERROR", "scn": "PASS"}
         assert (tmp_path / "out" / "report.json").is_file()
 
-    @pytest.mark.parametrize("command,name", [("run", "report.json"),
-                                              ("run", "state_input.csv"),
-                                              ("export-kernel", "kernel.csv")])
-    def test_unwritable_output_file_exit_two(self, tmp_path, capsys, command, name):
+    @pytest.mark.parametrize("command,name,extra", [
+        pytest.param("run", "report.json", "", id="run-report.json"),
+        pytest.param("run", "state_input.csv", "", id="run-state_input.csv"),
+        pytest.param("run", "state_input.csv", CUSTOM_INPUT, id="run-state_input.csv-custom"),
+        pytest.param("export-kernel", "kernel.csv", "", id="export-kernel-kernel.csv")])
+    def test_unwritable_output_file_exit_two(self, tmp_path, capsys, command, name, extra):
         (tmp_path / "out" / name).mkdir(parents=True)
-        path = write_cfg(tmp_path, checks="parseval")
+        write_packet(tmp_path / "packet.csv")
+        path = write_cfg(tmp_path, checks="parseval", extra=extra)
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and str(tmp_path / "out" / name) in err
+        assert len(err.splitlines()) == 1
+        assert f"cannot write {tmp_path / 'out' / name}" in err
         assert not (tmp_path / "out" / "report.json").is_file()
 
     def test_check_all_reports_unwritable_output_files(self, tmp_path, capsys):
