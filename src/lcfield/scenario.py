@@ -464,8 +464,8 @@ def _reciprocity(src: _Source) -> float:
 def _signal_exchange(src: _Source) -> float:
     worst = 0.0
     for boost in src.boosts:
-        rec = simulate_signal_exchange(boost, t_emit_A=1.0, c=src.config.constants.c)
-        worst = max(worst, abs(rec.kappa_measured - kappa(+1, boost)))
+        _, _, t_receive_B = simulate_signal_exchange(boost, t_emit_A=1.0)
+        worst = max(worst, abs(t_receive_B - kappa(+1, boost)))
     return worst
 
 

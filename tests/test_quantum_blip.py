@@ -10,7 +10,7 @@ from lcfield.grid import (
     evaluate_at,
     l2_distance,
 )
-from lcfield.kinematics import inverse_boost, kappa, make_boost, xi
+from lcfield.kinematics import kappa, make_boost, xi
 from lcfield.quantum_blip import (
     RegularisationKernel,
     field_matrix_element,
@@ -101,7 +101,7 @@ class TestBoostBlip:
         state = unit_state(carrier=1.5)
         boost = make_boost(0.6)
         there = boost_field(state, boost, scaled_axis(AXIS, kappa(1, boost)), power=0.5)
-        back = boost_field(there, inverse_boost(boost), AXIS, power=0.5)
+        back = boost_field(there, make_boost(-boost.beta), AXIS, power=0.5)
         assert l2_distance(back, state) < 1e-6
 
     @pytest.mark.parametrize("beta", [0.3, -0.3, 0.6, -0.6, 0.9, -0.9])
@@ -322,8 +322,8 @@ class TestKernelConsistency:
         state = unit_state(width=3.0, carrier=2.0)
         boost = make_boost(0.6)
         fwd, _ = kernel_check(state, boost, scaled_axis(AXIS, kappa(1, boost)))
-        rev, _ = kernel_check(state, inverse_boost(boost),
-                              scaled_axis(AXIS, kappa(1, inverse_boost(boost))))
+        back = make_boost(-boost.beta)
+        rev, _ = kernel_check(state, back, scaled_axis(AXIS, kappa(1, back)))
         assert fwd < 1e-3
         assert rev < 1e-3
 

@@ -490,6 +490,19 @@ def test_transform_checks_exact_at_2_18(tmp_path):
     assert kernel.rel_error <= 1e-11
 
 
+def test_kinematic_checks_round_off_on_sweep_boosts(tmp_path):
+    # These two checks set the benchmark's worst_err_over_tol on the
+    # 19-boost sweep.  The pulse times t_A/(1 - beta) and t_A*gamma read
+    # 6.66e-16 against kappa; the Lorentz-event form gamma*(t - beta*x/c)
+    # of the reception time reads 8.88e-16 and fails here.
+    boosts = ", ".join(str(round(0.1 * i, 1)) for i in range(-9, 10))
+    path = write_cfg(tmp_path, checks="signal_exchange, reciprocity",
+                     extra=f"boosts = {boosts}\n")
+    exchange, reciprocity = run_scenario(load_config(path), config_dir=tmp_path).checks
+    assert exchange.rel_error <= 6.7e-16
+    assert reciprocity.rel_error <= 4.5e-16
+
+
 def test_runner_imports_no_scipy_signal_or_integrate(tmp_path):
     # Each costs a large part of a second to import, and lcfield uses
     # neither (only the finite-part test oracle uses scipy.integrate).
