@@ -11,8 +11,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .quantum_blip import RegularisationKernel
-from .scenario import ConfigError, load_config, make_output_dir, run_scenario, write_output
+from .scenario import ConfigError, load_config, run_scenario
 
 
 def _report_lines(name, report):
@@ -65,17 +64,6 @@ def _cmd_check_all(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_export_kernel(args, config) -> int:
-    kernel = RegularisationKernel(config.grid.conjugate(), config.constants)
-    # output_dir is relative to the config, as for `run`; -o to the current directory.
-    out = (Path(args.output) if args.output
-           else Path(args.config).parent / config.output_dir / "kernel.csv")
-    make_output_dir(out.parent)
-    write_output(out, kernel.export_csv)
-    print(f"kernel multiplier table written to {out}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lcfield",
@@ -90,11 +78,6 @@ def main(argv=None) -> int:
                            help="run every .cfg in a directory, print a summary")
     p_all.add_argument("directory")
 
-    p_k = sub.add_parser("export-kernel",
-                         help="dump the regularisation kernel multiplier table")
-    p_k.add_argument("config")
-    p_k.add_argument("-o", "--output", default=None)
-
     sub.add_parser("version", help="print the package version")
 
     args = parser.parse_args(argv)
@@ -103,9 +86,8 @@ def main(argv=None) -> int:
         return 0
     if args.command == "check-all":
         return _cmd_check_all(args)
-    command = _cmd_run if args.command == "run" else _cmd_export_kernel
     try:
-        return command(args, load_config(args.config))
+        return _cmd_run(args, load_config(args.config))
     except (FileNotFoundError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,6 @@ __all__ = [
     "resample",
     "boost_field",
     "trig_interpolate",
-    "write_table",
     "write_csv",
     "read_csv",
     "LEAKAGE_THRESHOLD",
@@ -296,26 +295,22 @@ def boost_field(f: SampledFunction, boost: BoostParams, target: Axis,
     return resample(f, scale=scale, amplitude_factor=scale ** power, target=target)
 
 
-def write_table(path, header: str, columns) -> None:
-    """Write a header line, then one `%.17g`-formatted CSV row per index of
-    the equal-length float `columns`, every line ending in CRLF: the bytes
-    of np.savetxt(..., fmt="%.17g", delimiter=",", newline="\r\n").
+def write_csv(f: SampledFunction, path) -> None:
+    """Write `coordinate,re,im` rows, coordinates ascending, 17 significant
+    digits, every line ending in CRLF: the bytes of np.savetxt(...,
+    fmt="%.17g", delimiter=",", newline="\r\n").
 
     Rows are formatted a block at a time by one string operation, and never
     all at once, so memory does not grow with the file.
     """
     rows_per_block = 4096
-    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    row = "%.17g,%.17g,%.17g\r\n"
+    columns = [f.axis.points(), f.values.real, f.values.imag]
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for lo in range(0, len(columns[0]), rows_per_block):
+        fh.write("coordinate,re,im\r\n")
+        for lo in range(0, f.axis.count, rows_per_block):
             block = np.column_stack([c[lo:lo + rows_per_block] for c in columns])
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
-
-
-def write_csv(f: SampledFunction, path) -> None:
-    """Write `coordinate,re,im` rows, coordinates ascending, 17 sig digits."""
-    write_table(path, "coordinate,re,im", [f.axis.points(), f.values.real, f.values.imag])
 
 
 def read_csv(path, representation: Representation, s: int,

@@ -18,12 +18,12 @@ import numpy as np
 
 from . import spectral
 from .grid import (Axis, FieldConstants, SampledFunction, boost_field, frozen,
-                   l2_distance, norm, write_table)
+                   l2_distance, norm)
 from .grid import resample  # noqa: F401 (perfbench patches it)
 from .kinematics import BoostParams
 
 __all__ = [
-    "RegularisationKernel",
+    "kernel_multiplier",
     "photon_number",
     "mode_occupation",
     "field_matrix_element",
@@ -45,8 +45,9 @@ def mode_occupation(mstate: SampledFunction, k_lo: float, k_hi: float) -> float:
     return mstate.axis.step * float(np.sum(np.abs(mstate.values[mask]) ** 2))
 
 
-class RegularisationKernel:
-    """Spectral form of the singular field-weighting kernel.
+def kernel_multiplier(k_axis: Axis,
+                      constants: FieldConstants = FieldConstants()) -> np.ndarray:
+    """Spectral form of the singular field-weighting kernel, on `k_axis`.
 
     The position-space kernel is prefactor * |u|^{-3/2} with prefactor
     -sqrt(hbar/(4*pi*eps*c*A)).  Its Hadamard finite-part Fourier
@@ -58,23 +59,14 @@ class RegularisationKernel:
 
     real, even, with m(0) = 0 (the zero mode carries no energy).
     """
-
-    def __init__(self, k_axis: Axis, constants: FieldConstants = FieldConstants()):
-        self.k_axis = k_axis
-        self.prefactor = -math.sqrt(
-            constants.hbar / (4.0 * math.pi * constants.epsilon
-                              * constants.c * constants.area))
-        # c * prefactor * (-2) * sqrt(2*pi*|k|), computed in place.
-        m = np.abs(k_axis.points())
-        m *= 2.0 * np.pi
-        np.sqrt(m, out=m)
-        m *= constants.c * self.prefactor * (-2.0)
-        self.multiplier = frozen(m)
-
-    def export_csv(self, path) -> None:
-        """Write `k,m_re,m_im` rows for audit."""
-        write_table(path, "k,m_re,m_im", [self.k_axis.points(), self.multiplier,
-                                          np.zeros(self.k_axis.count)])
+    prefactor = -math.sqrt(constants.hbar / (4.0 * math.pi * constants.epsilon
+                                             * constants.c * constants.area))
+    # c * prefactor * (-2) * sqrt(2*pi*|k|), computed in place.
+    m = np.abs(k_axis.points())
+    m *= 2.0 * np.pi
+    np.sqrt(m, out=m)
+    m *= constants.c * prefactor * (-2.0)
+    return frozen(m)
 
 
 def field_matrix_element(ft: SampledFunction, target: Axis,
@@ -88,9 +80,8 @@ def field_matrix_element(ft: SampledFunction, target: Axis,
     """
     if ft.pol != "H":
         raise ValueError(f"the matrix element needs an H-polarized state, got {ft.pol}")
-    kernel = RegularisationKernel(ft.axis, constants)
-    return spectral.to_position(ft.with_values(frozen(kernel.multiplier * ft.values)),
-                                target=target)
+    m = kernel_multiplier(ft.axis, constants)
+    return spectral.to_position(ft.with_values(frozen(m * ft.values)), target=target)
 
 
 def kernel_consistency_check(me_A: SampledFunction, me_B: SampledFunction,

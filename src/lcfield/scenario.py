@@ -6,7 +6,7 @@ each boost, runs the named invariant checks, and writes a JSON report
 and the input amplitude, `state_input.csv`, into the scenario's output
 directory.  A custom input's `state_input.csv` is the input file's own
 bytes, copied and then parsed, and its axis must match the config's grid
-(`Axis.matches`); a generated amplitude is written by `write_table`.  A
+(`Axis.matches`); a generated amplitude is written by `write_csv`.  A
 rejected input leaves no `state_input.csv`.
 
 Each boost's packet and state are built once and shared by the checks;
@@ -38,8 +38,6 @@ __all__ = [
     "ScenarioReport",
     "ConfigError",
     "load_config",
-    "make_output_dir",
-    "write_output",
     "run_scenario",
     "ALL_CHECKS",
 ]
@@ -92,6 +90,8 @@ class ScenarioConfig:
             problems.append(f"state.kind: unknown kind {self.state_kind!r}")
         if self.state_kind == "custom" and not self.state_file:
             problems.append("state.file: required for state.kind = custom")
+        if self.state_kind != "custom" and self.state_file:
+            problems.append("state.file: only read for state.kind = custom")
         for key, value in (("state.width", self.state_width),
                            ("constants.h_density", self.h_density)):
             if not value > 0:
@@ -102,6 +102,8 @@ class ScenarioConfig:
             problems.append("state.lambda: must be H or V")
         problems += [f"checks: unknown check {name!r}"
                      for name in self.checks if name not in ALL_CHECKS]
+        problems += [f"checks: duplicate check {name!r}"
+                     for name in dict.fromkeys(self.checks) if self.checks.count(name) > 1]
         problems += [f"tolerances.{name}: must be a finite number >= 0, got {tol!r}"
                      for name, tol in self.tolerances.items() if not 0 <= tol < math.inf]
         boosts = [_build(problems, "boosts", make_boost, beta) for beta in self.boosts]
@@ -260,6 +262,10 @@ def _build_amplitude(config: ScenarioConfig, artifact: Path) -> SampledFunction:
         f = SampledFunction(axis=config.grid, values=frozen(vals),
                             representation=Representation.POSITION_CHI,
                             s=config.state_s, pol=config.state_pol)
+    # min and max propagate NaN and reach any inf; the re/im view is no copy.
+    parts = f.values.view(float)
+    if not (np.isfinite(parts.min()) and np.isfinite(parts.max())):
+        raise ValueError("input amplitude is not finite")
     if not np.any(f.values):
         raise ValueError("input amplitude is zero everywhere")
     return f
@@ -380,12 +386,6 @@ def _output_step(message: str, step, *args, **kwargs) -> None:
         raise ConfigError([f"{message}: {exc.strerror or exc}"]) from None
 
 
-def make_output_dir(path: Path) -> None:
-    """Create `path` and its parents; a ConfigError names it if that fails."""
-    _output_step(f"cannot create output directory {path}", path.mkdir,
-                 parents=True, exist_ok=True)
-
-
 def write_output(path: Path, write) -> None:
     """`write(path)`; a ConfigError names `path` if that fails."""
     _output_step(f"cannot write {path}", write, path)
@@ -397,7 +397,8 @@ def run_scenario(config: ScenarioConfig, config_dir: Path | None = None) -> Scen
     out_dir = Path(config.output_dir)
     if not out_dir.is_absolute():
         out_dir = config_dir / out_dir
-    make_output_dir(out_dir)
+    _output_step(f"cannot create output directory {out_dir}", out_dir.mkdir,
+                 parents=True, exist_ok=True)
     # A run that stops early must not leave an earlier run's report behind.
     write_output(out_dir / "report.json", lambda path: path.unlink(missing_ok=True))
 

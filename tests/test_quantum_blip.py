@@ -12,9 +12,9 @@ from lcfield.grid import (
 )
 from lcfield.kinematics import kappa, make_boost, xi
 from lcfield.quantum_blip import (
-    RegularisationKernel,
     field_matrix_element,
     kernel_consistency_check,
+    kernel_multiplier,
     mode_occupation,
     photon_number,
 )
@@ -220,46 +220,28 @@ class TestModeOccupation:
             mode_occupation(mstate, 1.0, 1.0)
 
 
-class TestRegularisationKernel:
+class TestKernelMultiplier:
     def test_multiplier_real_even_zero_at_dc(self):
-        kern = RegularisationKernel(AXIS.conjugate())
+        m = kernel_multiplier(AXIS.conjugate())
         k = AXIS.conjugate().points()
-        assert np.all(np.isreal(kern.multiplier))
-        assert kern.multiplier[np.argmin(np.abs(k))] == 0.0
-        np.testing.assert_allclose(kern.multiplier,
-                                   np.interp(np.abs(k), np.abs(k)[np.argsort(np.abs(k))],
-                                             kern.multiplier[np.argsort(np.abs(k))]))
+        assert np.all(np.isreal(m))
+        assert m[np.argmin(np.abs(k))] == 0.0
+        np.testing.assert_allclose(m, np.interp(np.abs(k), np.abs(k)[np.argsort(np.abs(k))],
+                                                m[np.argsort(np.abs(k))]))
 
     def test_sqrt_k_law(self):
-        kern = RegularisationKernel(AXIS.conjugate())
+        m = kernel_multiplier(AXIS.conjugate())
         k = AXIS.conjugate().points()
         pos = k > 0
-        ratio = kern.multiplier[pos] / np.sqrt(k[pos])
+        ratio = m[pos] / np.sqrt(k[pos])
         assert np.abs(ratio - ratio[0]).max() < 1e-10
 
-    def test_prefactor(self):
+    def test_constant(self):
+        # m(k) / sqrt(|k|) = sqrt(2*hbar*c/(eps*A)) = sqrt(2*3*2/(0.5*4)) = sqrt(6).
         constants = FieldConstants(c=2.0, hbar=3.0, epsilon=0.5, area=4.0)
-        kern = RegularisationKernel(AXIS.conjugate(), constants)
-        assert kern.prefactor == pytest.approx(
-            -np.sqrt(3.0 / (4 * np.pi * 0.5 * 2.0 * 4.0)))
-
-    def test_export_csv(self, tmp_path):
-        kern = RegularisationKernel(AXIS.conjugate())
-        path = tmp_path / "kernel.csv"
-        kern.export_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,m_re,m_im"
-        assert len(lines) == N + 1
-
-    def test_export_csv_bytes_match_savetxt(self, tmp_path):
-        kern = RegularisationKernel(AXIS.conjugate())
-        kern.export_csv(tmp_path / "kernel.csv")
-        np.savetxt(tmp_path / "ref.csv",
-                   np.column_stack([AXIS.conjugate().points(), kern.multiplier,
-                                    np.zeros(N)]),
-                   fmt="%.17g", delimiter=",", header="k,m_re,m_im",
-                   comments="", newline="\r\n")
-        assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        m = kernel_multiplier(AXIS.conjugate(), constants)
+        k = np.abs(AXIS.conjugate().points())
+        np.testing.assert_allclose(m[k > 0] / np.sqrt(k[k > 0]), np.sqrt(6.0), rtol=1e-13)
 
 
 class TestFieldMatrixElement:

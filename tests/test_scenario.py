@@ -150,6 +150,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="state.file"):
             load_config(path)
 
+    def test_duplicate_check(self, tmp_path):
+        path = write_cfg(tmp_path, checks="parseval, reciprocity, parseval")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.problems == ["checks: duplicate check 'parseval'"]
+
+    def test_file_without_custom_kind(self, tmp_path):
+        path = write_cfg(tmp_path, extra="state.file = missing.csv\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.problems == ["state.file: only read for state.kind = custom"]
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("grid.start -10\n")
@@ -328,15 +340,15 @@ CUSTOM_INPUT = "state.kind = custom\nstate.file = packet.csv\n"
 
 class TestStateInput:
     """state_input.csv holds the amplitude the checks ran on: a custom
-    input's own bytes, or a generated amplitude written by write_table.
+    input's own bytes, or a generated amplitude written by write_csv.
     """
 
     @staticmethod
-    def count_write_table(monkeypatch):
+    def count_write_csv(monkeypatch):
         calls = []
-        write_table = grid.write_table
-        monkeypatch.setattr(grid, "write_table",
-                            lambda *args: calls.append(args[0]) or write_table(*args))
+        write_csv = scenario.write_csv
+        monkeypatch.setattr(scenario, "write_csv",
+                            lambda f, path: calls.append(path) or write_csv(f, path))
         return calls
 
     @pytest.mark.parametrize("writer", ["savetxt_lf", "write_csv_crlf"])
@@ -346,13 +358,13 @@ class TestStateInput:
         if writer == "write_csv_crlf":
             f = grid.read_csv(packet, grid.Representation.POSITION_CHI, s=1)
             grid.write_csv(f, packet)
-        calls = self.count_write_table(monkeypatch)
+        calls = self.count_write_csv(monkeypatch)
         assert main(["run", str(write_cfg(tmp_path, extra=CUSTOM_INPUT))]) == 0
         assert (tmp_path / "out" / "state_input.csv").read_bytes() == packet.read_bytes()
         assert calls == []
 
     def test_generated_input_written_once(self, tmp_path, monkeypatch, capsys):
-        calls = self.count_write_table(monkeypatch)
+        calls = self.count_write_csv(monkeypatch)
         assert main(["run", str(write_cfg(tmp_path))]) == 0
         assert calls == [tmp_path / "out" / "state_input.csv"]
 
@@ -370,6 +382,12 @@ class TestStateInput:
         elif why == "missing":
             packet.unlink()
             message = "No such file"
+        elif why in ("nan", "inf"):
+            lines = packet.read_text().splitlines(keepends=True)
+            chi = lines[1000].split(",")[0]
+            lines[1000] = f"{chi},{why},0\n"
+            packet.write_text("".join(lines))
+            message = "input amplitude is not finite"
         elif why == "unparsable":
             packet.write_text("coordinate,re,im\n0.0,1.0\n")
             message = "3 columns"
@@ -379,7 +397,7 @@ class TestStateInput:
             message = "custom sample grid does not match grid spec"
         return CUSTOM_INPUT, message
 
-    @pytest.mark.parametrize("why", ["zero generated", "zero", "missing",
+    @pytest.mark.parametrize("why", ["zero generated", "zero", "nan", "inf", "missing",
                                      "unparsable", "mismatched"])
     def test_rejected_input_leaves_no_state_input(self, tmp_path, capsys, why):
         write_packet(tmp_path / "packet.csv")
@@ -576,20 +594,18 @@ class TestCli:
         assert len(err.splitlines()) == 1 and line.split(" = ")[0] in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["run", "export-kernel"])
-    def test_non_utf8_config_exit_two(self, tmp_path, capsys, command):
+    def test_non_utf8_config_exit_two(self, tmp_path, capsys):
         path = write_cfg(tmp_path, checks="parseval")
         path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
-        assert main([command, str(path)]) == 2
+        assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(path) in err and "UTF-8" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["run", "export-kernel"])
-    def test_uncreatable_output_dir_exit_two(self, tmp_path, capsys, command):
+    def test_uncreatable_output_dir_exit_two(self, tmp_path, capsys):
         (tmp_path / "blocker").write_text("a file, not a directory\n")
         path = write_cfg(tmp_path, checks="parseval", out="blocker/sub")
-        assert main([command, str(path)]) == 2
+        assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(tmp_path / "blocker" / "sub") in err
 
@@ -605,16 +621,15 @@ class TestCli:
         assert rows == {"blocked": "CONFIG-ERROR", "latin1": "CONFIG-ERROR", "scn": "PASS"}
         assert (tmp_path / "out" / "report.json").is_file()
 
-    @pytest.mark.parametrize("command,name,extra", [
-        pytest.param("run", "report.json", "", id="run-report.json"),
-        pytest.param("run", "state_input.csv", "", id="run-state_input.csv"),
-        pytest.param("run", "state_input.csv", CUSTOM_INPUT, id="run-state_input.csv-custom"),
-        pytest.param("export-kernel", "kernel.csv", "", id="export-kernel-kernel.csv")])
-    def test_unwritable_output_file_exit_two(self, tmp_path, capsys, command, name, extra):
+    @pytest.mark.parametrize("name,extra", [
+        pytest.param("report.json", "", id="run-report.json"),
+        pytest.param("state_input.csv", "", id="run-state_input.csv"),
+        pytest.param("state_input.csv", CUSTOM_INPUT, id="run-state_input.csv-custom")])
+    def test_unwritable_output_file_exit_two(self, tmp_path, capsys, name, extra):
         (tmp_path / "out" / name).mkdir(parents=True)
         write_packet(tmp_path / "packet.csv")
         path = write_cfg(tmp_path, checks="parseval", extra=extra)
-        assert main([command, str(path)]) == 2
+        assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert f"cannot write {tmp_path / 'out' / name}" in err
@@ -696,31 +711,17 @@ class TestCli:
     def test_check_all_empty_dir(self, tmp_path, capsys):
         assert main(["check-all", str(tmp_path)]) == 2
 
-    def test_export_kernel(self, tmp_path, capsys):
-        path = write_cfg(tmp_path)
-        out = tmp_path / "kernel.csv"
-        assert main(["export-kernel", str(path), "-o", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "k,m_re,m_im"
-        assert len(lines) == 2048 + 1
-        ks = np.array([float(l.split(",")[0]) for l in lines[1:]])
-        ms = np.array([float(l.split(",")[1]) for l in lines[1:]])
-        np.testing.assert_allclose(ms, np.sqrt(2.0) * np.sqrt(np.abs(ks)),
-                                   rtol=1e-12)
-
-    def test_export_kernel_output_dir_relative_to_config(self, tmp_path, monkeypatch, capsys):
-        sub = tmp_path / "sub"
-        sub.mkdir()
-        path = write_cfg(sub, out="kout")
-        elsewhere = tmp_path / "elsewhere"
-        elsewhere.mkdir()
-        monkeypatch.chdir(elsewhere)
-        assert main(["export-kernel", str(path)]) == 0
-        assert (sub / "kout" / "kernel.csv").is_file()
-        assert not (elsewhere / "kout").exists()
-        # An explicit -o stays relative to the current directory.
-        assert main(["export-kernel", str(path), "-o", "k.csv"]) == 0
-        assert (elsewhere / "k.csv").is_file()
+    def test_readme_lists_every_subcommand(self, tmp_path, capsys):
+        readme = (SCENARIOS.parent / "README.md").read_text()
+        block = readme.split("## Command line")[1].split("```")[1]
+        documented = {line.split()[1] for line in block.splitlines()
+                      if line.startswith("lcfield ")}
+        with pytest.raises(SystemExit, match="^0$"):
+            main(["--help"])
+        choices = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+        assert documented == set(choices.split(","))
+        with pytest.raises(SystemExit, match="^2$"):
+            main(["export-kernel", str(write_cfg(tmp_path))])
 
     def test_version(self, capsys):
         assert main(["version"]) == 0
