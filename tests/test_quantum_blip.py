@@ -263,7 +263,8 @@ class TestFieldMatrixElement:
         ratio = np.abs(m2.values).max() / np.abs(m1.values).max()
         assert ratio == pytest.approx(np.sqrt(2.0), rel=1e-3)
 
-    def test_finite_part_oracle(self):
+    @staticmethod
+    def oracle_rel_error(constants, stride):
         w, k0 = 3.0, 2.0
 
         def psi(x):
@@ -271,14 +272,20 @@ class TestFieldMatrixElement:
                     * np.exp(-x**2 / (2 * w**2)) * np.exp(1j * k0 * x))
 
         state = unit_state(width=w, carrier=k0)
-        me = matrix_element(state)
-        idx = np.arange(N // 2 - 250, N // 2 + 250, 10)
+        me = field_matrix_element(to_momentum(state), state.axis, constants)
+        idx = np.arange(N // 2 - 250, N // 2 + 250, stride)
         chi = AXIS.points()[idx]
-        oracle = finite_part_convolution(psi, chi, inner_radius=1.0,
+        oracle = finite_part_convolution(psi, chi, constants, inner_radius=1.0,
                                          outer_radius=SPAN / 2 - 5.0)
-        rel = (np.linalg.norm(me.values[idx] - oracle)
-               / np.linalg.norm(oracle))
-        assert rel < 1e-3
+        return np.linalg.norm(me.values[idx] - oracle) / np.linalg.norm(oracle)
+
+    def test_finite_part_oracle(self):
+        assert self.oracle_rel_error(FieldConstants(), stride=10) < 1e-3
+
+    def test_finite_part_oracle_with_constants(self):
+        # field_matrix_element hands its constants on to kernel_multiplier.
+        constants = FieldConstants(c=2.0, hbar=3.0, epsilon=0.5, area=4.0)
+        assert self.oracle_rel_error(constants, stride=25) < 1e-3
 
 
 def kernel_check(state, boost, target):

@@ -711,7 +711,7 @@ class TestCli:
     def test_check_all_empty_dir(self, tmp_path, capsys):
         assert main(["check-all", str(tmp_path)]) == 2
 
-    def test_readme_lists_every_subcommand(self, tmp_path, capsys):
+    def test_readme_lists_every_subcommand(self, capsys):
         readme = (SCENARIOS.parent / "README.md").read_text()
         block = readme.split("## Command line")[1].split("```")[1]
         documented = {line.split()[1] for line in block.splitlines()
@@ -720,6 +720,8 @@ class TestCli:
             main(["--help"])
         choices = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
         assert documented == set(choices.split(","))
+
+    def test_export_kernel_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit, match="^2$"):
             main(["export-kernel", str(write_cfg(tmp_path))])
 
