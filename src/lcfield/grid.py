@@ -8,11 +8,19 @@ phase reduced exactly by `_turns`).  Resampling under coordinate rescaling
 (the discrete realization of substitutions like chi' -> scale*chi'),
 point evaluation of a chi function, and `boost_field`, which boosts
 packets and blip states, all read samples through it.
+
+`write_csv` writes the bytes np.savetxt(fmt="%.17g") would, a block of
+rows at a time: each number's 17 correctly rounded digits come from an
+exact double-double product with a power of ten (Dekker 1971), and the
+text is assembled by array operations.  NaN, inf, |decimal exponent| > 280
+(subnormals too) and values within 2**-40 of a decimal rounding tie are
+formatted by Python's '%.17g' instead.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -295,22 +303,219 @@ def boost_field(f: SampledFunction, boost: BoostParams, target: Axis,
     return resample(f, scale=scale, amplitude_factor=scale ** power, target=target)
 
 
+# write_csv's text: the 17 digits of %.17g come from a double-double
+# product with a power of ten, and the characters of a block of rows are
+# assembled as 64-bit words whose NUL bytes are then dropped.
+
+_CSV_BLOCK_ROWS = 4096
+_EXP_LIMIT = 280  # a larger |decimal exponent| (subnormals too) goes to Python
+_K_MIN = 16 - _EXP_LIMIT - 1  # 10**k for _K_MIN <= k <= _K_MAX scales every
+_K_MAX = 16 + _EXP_LIMIT + 1  # such number into [1e16, 1e17]
+_DEKKER_SPLIT = 2.0 ** 27 + 1
+_TIE_BOUND = 2.0 ** -40  # far above the scaled value's error, 5e-15
+_WORD = np.dtype("<u8")
+
+
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """10**k for _K_MIN <= k <= _K_MAX as hi + lo, to 2**-106 relative,
+    and hi split into two 26-bit halves for Dekker's product.
+    """
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k >= 0:
+            h = float(10 ** k)
+            lo.append(float(10 ** k - int(h)))
+        else:  # int true division is correctly rounded
+            h = 1 / 10 ** -k
+            num, den = h.as_integer_ratio()
+            lo.append((den - num * 10 ** -k) / (den * 10 ** -k))
+        hi.append(h)
+    hi = np.array(hi)
+    top = _DEKKER_SPLIT * hi
+    top -= top - hi
+    return tuple(map(frozen, (hi, top, hi - top, np.array(lo))))  # shared by every call
+
+
+def _scale_by_power_of_ten(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**k as h + l with |l| <= ulp(h)/2, within 5e-15 of it where it
+    lies in [1e16, 1e17]: Dekker's exact product a*hi (Numer. Math. 18,
+    1971) plus a*lo.  Written in place to keep a block's memory small.
+    """
+    hi, hi_top, hi_low, lo = _powers_of_ten()
+    i = k - _K_MIN
+    p = a * np.take(hi, i)
+    a_top = _DEKKER_SPLIT * a
+    a_low = a_top - a
+    a_top -= a_low
+    np.subtract(a, a_top, out=a_low)
+    top = np.take(hi_top, i)
+    t = a_top * top
+    t -= p  # t = ((a_top*top - p) + a_top*low + a_low*top) + a_low*low + a*lo
+    low = np.take(hi_low, i)
+    t += np.multiply(a_top, low, out=a_top)
+    t += np.multiply(a_low, top, out=top)
+    t += np.multiply(a_low, low, out=low)
+    t += np.multiply(a, np.take(lo, i, out=a_low), out=a_low)
+    h = np.add(p, t, out=top)
+    t -= np.subtract(h, p, out=p)
+    return h, t
+
+
+def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant decimal digits of each x, correctly rounded, as
+    an integer in [10**16, 10**17) (0 for a zero), the decimal exponent of
+    the first digit, and whether the kernel decided them.  It does not for
+    NaN and inf, for |exponent| > 280 (subnormals included), or where the
+    scaled value lies within 2**-40 of a rounding tie (decimal ties such as
+    1278675320000000.25 among them): Python formats those.
+    """
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exponent = np.log10(a)
+    np.floor(exponent, out=exponent)
+    outside = ~(np.abs(exponent) <= _EXP_LIMIT)
+    a[outside] = 1.0
+    exponent[outside] = 0.0
+    exponent = exponent.astype(np.int64)
+    h, l = _scale_by_power_of_ten(a, 16 - exponent)
+    # log10 can be off by one next to a power of ten: rescale those.
+    below = (h < 1e16) | ((h == 1e16) & (l < 0))
+    above = (h > 1e17) | ((h == 1e17) & (l >= 0))
+    redo = np.flatnonzero(below | above)
+    if redo.size:
+        exponent[redo] += above[redo].astype(np.int64) - below[redo]
+        h[redo], l[redo] = _scale_by_power_of_ten(a[redo], 16 - exponent[redo])
+    whole = np.floor(l)
+    l -= whole
+    exact = (np.abs(l - 0.5) > _TIE_BOUND) & (np.abs(exponent) <= _EXP_LIMIT) & ~outside
+    whole += l > 0.5
+    digits = h.astype(np.int64)  # h >= 1e16 > 2**53 is an integer
+    digits += whole.astype(np.int64)
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    exponent += carry
+    zero = x == 0
+    digits[zero] = 0
+    exponent[zero] = 0
+    return digits, exponent, exact | zero
+
+
+def _words(texts, at: int = 0) -> np.ndarray:
+    """Each of `texts` from byte `at` of a little-endian 64-bit word."""
+    return np.frombuffer(b"".join((bytes(at) + s).ljust(8, b"\0") for s in texts), _WORD)
+
+
+@functools.cache
+def _text_tables() -> dict[str, np.ndarray]:
+    """The pieces _format_rows assembles a cell from.
+
+    A cell (one number and the separator after it) is 4 words, 32 bytes:
+    bytes 0-5 hold the sign and a "0.000" prefix, 6-23 the digits with the
+    point inserted, 24-28 the exponent and 29-30 the separator.  Unused
+    bytes are NUL.
+    """
+    exponents = range(-_EXP_LIMIT - 1, _EXP_LIMIT + 2)
+    fixed = [-4 <= e < 17 for e in exponents]  # Python's 'g' rule at 17 digits
+    leading = [b"0." + b"0" * (-e - 1) if f and e < 0 else b"" for e, f in zip(exponents, fixed)]
+    # Where the point goes after (17: no point), and the fewest digits shown.
+    point = [e + 1 if 0 <= e < 17 else 17 if f else 1 for e, f in zip(exponents, fixed)]
+    fewest = [e + 1 if 0 <= e < 17 else 1 for e in exponents]
+    # For each point position P and mantissa bytes shown (the point too):
+    # the bytes kept in place, those shifted past the point, and the point.
+    byte = np.arange(24)
+    p, kept = np.arange(18)[:, None, None], np.arange(19)[None, :, None]
+    insert = np.stack([(byte < 6 + np.minimum(p, kept)) * 0xFF,
+                       ((byte > 6 + p) & (byte < 6 + kept)) * 0xFF,
+                       ((byte == 6 + p) & (kept > p)) * ord(".")]).astype(np.uint8)
+    quad = np.zeros((10000, 8), np.uint8)  # "0000" to "9999" as words
+    quad[:, :4] = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+    chunks = np.arange(10000)
+    return {name: frozen(table) for name, table in {  # shared by every call
+        "quad": quad.view(_WORD)[:, 0],
+        "zeros": sum(chunks % 10 ** j == 0 for j in range(1, 5)),  # trailing; 4 for 0
+        "point": np.array(point),
+        "fewest": np.array(fewest),
+        "prefix": _words(sign + z for z in leading for sign in (b"", b"-")),
+        "tail": _words(b"" if f else b"e%+03d" % e for e, f in zip(exponents, fixed)),
+        # by word, then point * 19 + bytes shown, then part
+        "insert": np.ascontiguousarray(
+            insert.view(_WORD).reshape(3, 18 * 19, 3).transpose(2, 1, 0)),
+        "separator": _words([b",", b",", b"\r\n"], at=5),
+    }.items()}
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The bytes of "%.17g,%.17g,%.17g\r\n" % row for each row of a
+    (rows, 3) float block.  A row with a number that `_decimal_digits`
+    leaves undecided is formatted by Python.
+    """
+    rows = len(block)
+    x = block.ravel()
+    digits, exponent, exact = _decimal_digits(x)
+    t = _text_tables()
+    # The lead digit, four 4-digit chunks, and the trailing zeros.
+    upper, lower = np.divmod(digits, 10 ** 8)
+    lead, upper = np.divmod(upper, 10 ** 8)
+    chunks = [*np.divmod(upper, 10 ** 4), *np.divmod(lower, 10 ** 4)]
+    del digits, upper, lower
+    zeros = np.take(t["zeros"], chunks[3])
+    for i in (2, 1, 0):  # where every chunk after chunk i is 0000
+        zeros = np.where(zeros == 4 * (3 - i), zeros + np.take(t["zeros"], chunks[i]), zeros)
+    e = np.add(exponent, _EXP_LIMIT + 1, out=exponent)  # index of the exponent tables
+    point = np.take(t["point"], e)
+    kept = np.maximum(np.take(t["fewest"], e), 17 - zeros)
+    kept += kept > point  # mantissa bytes shown
+    layout = point * 19 + kept
+    c1, c2, c3, c4 = (np.take(t["quad"], c) for c in chunks)
+    del zeros, point, kept, chunks
+    # Bytes 0-23 of each cell as three words: the sign and prefix, then
+    # from byte 6 the lead digit and the four chunks.
+    words = [np.take(t["prefix"], 2 * e + np.signbit(x))
+             | (lead.astype(_WORD) + ord("0")) << 48 | c1 << 56,
+             c1 >> 8 | c2 << 24 | c3 << 56,
+             c3 >> 8 | c4 << 24]
+    del lead, c1, c2, c3, c4
+    # Insert the point: keep the bytes before it, shift those after it.
+    cells = np.empty((rows, 3, 4), _WORD)
+    carry = 0
+    for w, word in enumerate(words):
+        keep, shifted, dot = np.take(t["insert"][w], layout, axis=0).T
+        shifted &= word << 8 | carry
+        carry = word >> 56
+        cells[..., w] = ((word & keep) | shifted | dot).reshape(rows, 3)
+    cells[..., 3] = np.take(t["tail"], e).reshape(rows, 3) | t["separator"]
+    del words, word, layout, e
+    raw, width = cells.tobytes(), cells[0].nbytes
+    del cells
+    parts, start = [], 0
+    for i in np.flatnonzero(~exact.reshape(rows, 3).all(axis=1)):
+        parts.append(raw[start * width:i * width].translate(None, b"\0"))
+        parts.append(("%.17g,%.17g,%.17g\r\n" % tuple(block[i].tolist())).encode())
+        start = i + 1
+    parts.append(raw[start * width:].translate(None, b"\0"))
+    return b"".join(parts)
+
+
 def write_csv(f: SampledFunction, path) -> None:
     """Write `coordinate,re,im` rows, coordinates ascending, 17 significant
     digits, every line ending in CRLF: the bytes of np.savetxt(...,
-    fmt="%.17g", delimiter=",", newline="\r\n").
+    fmt="%.17g", delimiter=",", newline="\r\n") for every input.
 
-    Rows are formatted a block at a time by one string operation, and never
-    all at once, so memory does not grow with the file.
+    Rows are formatted 4096 at a time, never all at once, so memory does
+    not grow with the file.  The 17 correctly rounded digits of each number
+    come from an exact double-double product with a power of ten
+    (`_decimal_digits`), and the text from array operations
+    (`_format_rows`).  A row holding NaN, inf, a number whose decimal
+    exponent exceeds 280 in size (subnormals too) or one within 2**-40 of
+    a decimal rounding tie is formatted by Python's '%.17g' instead.
     """
-    rows_per_block = 4096
-    row = "%.17g,%.17g,%.17g\r\n"
     columns = [f.axis.points(), f.values.real, f.values.imag]
-    with open(path, "w", newline="") as fh:
-        fh.write("coordinate,re,im\r\n")
-        for lo in range(0, f.axis.count, rows_per_block):
-            block = np.column_stack([c[lo:lo + rows_per_block] for c in columns])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write(b"coordinate,re,im\r\n")
+        for lo in range(0, f.axis.count, _CSV_BLOCK_ROWS):
+            fh.write(_format_rows(
+                np.column_stack([c[lo:lo + _CSV_BLOCK_ROWS] for c in columns])))
 
 
 def read_csv(path, representation: Representation, s: int,

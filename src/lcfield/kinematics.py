@@ -11,8 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "BoostParams",
+    "lorentz_factor",
     "make_boost",
     "kappa",
     "xi",
@@ -28,10 +31,23 @@ def _check_direction(s: int) -> int:
 
 @dataclass(frozen=True)
 class BoostParams:
-    """Relative velocity fraction beta and the cached Lorentz factor gamma."""
+    """Relative velocity fraction beta and the cached Lorentz factor gamma.
+
+    Both may also be arrays of the same shape (see `lorentz_factor`);
+    `kappa` and `xi` then give arrays too.
+    """
 
     beta: float
     gamma: float
+
+
+def lorentz_factor(beta):
+    """gamma = 1/sqrt(1 - beta**2) of a float or elementwise of an array,
+    for |beta| < 1 (unchecked; `make_boost` checks a float).
+    """
+    # 1 - beta**2 underflows gracefully: beta = 1 - 1e-16 still yields a
+    # finite gamma because the product (1-beta)*(1+beta) is computed first.
+    return 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
 
 
 def make_boost(beta: float) -> BoostParams:
@@ -41,10 +57,7 @@ def make_boost(beta: float) -> BoostParams:
         raise ValueError(f"beta must be finite, got {beta!r}")
     if abs(beta) >= 1.0:
         raise ValueError(f"|beta| must be < 1 (subluminal), got {beta!r}")
-    # 1 - beta**2 underflows gracefully: beta = 1 - 1e-16 still yields a
-    # finite gamma because the product (1-beta)*(1+beta) is computed first.
-    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
-    return BoostParams(beta=beta, gamma=gamma)
+    return BoostParams(beta=beta, gamma=float(lorentz_factor(beta)))
 
 
 def kappa(s: int, boost: BoostParams) -> float:

@@ -3,9 +3,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcfield import grid
 from lcfield.grid import (
@@ -408,6 +411,105 @@ class TestCsv:
                    fmt="%.17g", delimiter=",", header="coordinate,re,im",
                    comments="", newline="\r\n")
         assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @staticmethod
+    def python_rows(block):
+        """Python's own text of each (coordinate, re, im) row."""
+        return b"".join(("%.17g,%.17g,%.17g\r\n" % tuple(row)).encode()
+                        for row in np.asarray(block).tolist())
+
+    def assert_rows_match_python(self, values):
+        """Every float of `values` in every column of a block, through
+        the block formatter, against Python's text row by row.
+        """
+        block = np.resize(np.asarray(values, dtype=float), (-(-len(values) // 3), 3))
+        block = np.concatenate([block, np.roll(block, 1, axis=1), np.roll(block, 2, axis=1)])
+        for lo in range(0, len(block), 4096):
+            rows = block[lo:lo + 4096]
+            assert grid._format_rows(rows) == self.python_rows(rows)
+
+    FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(complex, FLOATS, FLOATS), min_size=1, max_size=40))
+    def test_any_float_written_as_python_does(self, tmp_path_factory, values):
+        vals = np.array(values + [-0.0] * (len(values) % 2), dtype=complex)  # even count
+        f = position_fn(Axis(start=-3.5, step=0.7, count=len(vals)), vals)
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
+        write_csv(f, path)
+        rows = np.column_stack([f.axis.points(), vals.real, vals.imag])
+        assert path.read_bytes() == b"coordinate,re,im\r\n" + self.python_rows(rows)
+        self.assert_rows_match_python(vals.view(float))
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(20240).integers(0, 2**64, size=2 * 10**5, dtype=np.uint64)
+        values = bits.view(float)
+        vals = np.empty(len(values) // 2, dtype=complex)
+        vals.real, vals.imag = values[0::2], values[1::2]
+        f = position_fn(Axis(start=-1e5, step=1.0, count=len(vals)), vals)
+        write_csv(f, tmp_path / "f.csv")
+        expected = self.python_rows(np.column_stack([f.axis.points(), vals.real, vals.imag]))
+        assert (tmp_path / "f.csv").read_bytes() == b"coordinate,re,im\r\n" + expected
+
+    def test_next_to_every_power_of_ten(self):
+        values = []
+        for e in range(-323, 309):
+            v = float(f"1e{e}")
+            for direction in (-np.inf, np.inf):
+                w = v
+                for _ in range(2):
+                    w = np.nextafter(w, direction)
+                    values.append(w)
+            values.append(v)
+        values = np.array(values)
+        self.assert_rows_match_python(np.concatenate([values, -values]))
+
+    @staticmethod
+    def decimal_ties():
+        """Floats whose exact decimal value has 18 significant digits, the
+        last a 5: halfway between two 17-digit numbers.
+        """
+        rng = np.random.default_rng(7)
+        ties = [1278675320000000.25]
+        for j in range(2, 11):  # m + odd/2**j has j decimals, the last a 5
+            m = rng.integers(10 ** (17 - j), min(10 ** (18 - j), 2 ** (53 - j)), size=40)
+            odd = rng.integers(0, 2 ** (j - 1), size=40) * 2 + 1
+            ties += [int(a) + int(b) / 2 ** j for a, b in zip(m, odd)]
+        for j in range(11, 26):  # (n + 0.5)*10**e as odd/2**j, 1e7 down to 3e-8
+            odd = rng.integers(-(-10 ** 17 // 5 ** j), 10 ** 18 // 5 ** j, size=40) | 1
+            ties += [int(b) / 2 ** j for b in odd if int(b) * 5 ** j < 10 ** 18]
+        return np.array(ties)
+
+    def test_decimal_ties(self):
+        ties = self.decimal_ties()
+        for t in ties:
+            digits = Decimal(t).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        self.assert_rows_match_python(np.concatenate([ties, -ties]))
+
+    def test_undecided_digits_fall_back_to_python(self):
+        x = np.array([1278675320000000.25, self.decimal_ties()[-1], 1e-281, 1e281, 5e-324,
+                      2.2250738585072014e-308, 1.7976931348623157e308, np.nan, -np.inf,
+                      2e-280, 9e280, 0.1, 1.0, -123.456])
+        digits, exponent, exact = grid._decimal_digits(x)
+        # ties, |exponent| > 280, NaN and inf go to Python; the rest is exact
+        assert exact.tolist() == [False] * 9 + [True] * 5
+        for v, d, e in zip(x[9:], digits[9:], exponent[9:]):
+            mantissa, power = ("%.16e" % abs(v)).split("e")
+            assert (d, e) == (int(mantissa.replace(".", "")), int(power))
+        assert grid._decimal_digits(np.array([0.0, -0.0]))[0].tolist() == [0, 0]
+        self.assert_rows_match_python(x)
+
+    def test_memory_stays_block_sized(self, tmp_path):
+        n = 2**18
+        f = unit_gaussian(make_axis(n=n, span=200.0), carrier=1.0)
+        tracemalloc.start()
+        try:
+            write_csv(f, tmp_path / "f.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_header_format(self, tmp_path):
         f = unit_gaussian(make_axis(n=8, span=8.0))

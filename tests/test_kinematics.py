@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from lcfield.kinematics import (
     BoostParams,
     kappa,
+    lorentz_factor,
     make_boost,
     simulate_signal_exchange,
     xi,
@@ -30,6 +32,15 @@ class TestMakeBoost:
     def test_extreme_beta_no_overflow(self):
         b = make_boost(1.0 - 1e-16)
         assert math.isfinite(b.gamma)
+
+    def test_lorentz_factor_of_an_array_is_make_boosts(self):
+        beta = np.random.default_rng(3).uniform(-0.999, 0.999, size=500)
+        b = BoostParams(beta, lorentz_factor(beta))
+        for i in range(len(beta)):
+            one = make_boost(beta[i])
+            assert (b.gamma[i], kappa(1, b)[i], xi(-1, b)[i]) == (
+                one.gamma, kappa(1, one), xi(-1, one))
+        assert type(make_boost(0.6).gamma) is float
 
     @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, float("nan"), float("inf")])
     def test_rejects_superluminal_and_nonfinite(self, bad):

@@ -1,4 +1,6 @@
 import ast
+import errno
+import hashlib
 import importlib
 import json
 import math
@@ -539,6 +541,27 @@ def test_runner_imports_no_scipy_signal_or_integrate(tmp_path):
     assert run.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_runner_loads_no_numpy_random_or_openssl(tmp_path):
+    # numpy.random and OpenSSL (loaded by importing hashlib) each cost
+    # megabytes of resident memory and milliseconds of start-up.  numpy
+    # 1.x imports numpy.random itself, so only what lcfield adds counts.
+    path = write_cfg(tmp_path, checks=", ".join(ALL_CHECKS))
+    code = (
+        "import sys, json, numpy\n"
+        "before = set(sys.modules)\n"
+        "import lcfield.cli\n"
+        f"lcfield.cli.main(['run', {str(path)!r}])\n"
+        "print([m for m in ('numpy.random', '_hashlib') if m in set(sys.modules) - before])\n"
+        f"print(json.load(open({str(tmp_path / 'out' / 'report.json')!r}))"
+        "['meta']['config_hash'])\n")
+    src = str(pathlib.Path(scenario.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines()[-2:] == [
+        "[]", hashlib.sha256(path.read_text().encode()).hexdigest()]
+
+
 def test_exports_exist_and_no_scipy_integrate_import():
     # A deleted name cannot stay in an __all__, and no source file imports
     # scipy (the quadrature oracle in tests/finite_part.py is its only user).
@@ -634,6 +657,25 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert f"cannot write {tmp_path / 'out' / name}" in err
         assert not (tmp_path / "out" / "report.json").is_file()
+
+    def test_state_input_failing_part_way_is_removed(self, tmp_path, capsys, monkeypatch):
+        path = write_cfg(tmp_path, checks="parseval")
+        assert main(["run", str(path)]) == 0
+        artifact = tmp_path / "out" / "state_input.csv"
+
+        def disk_full_after_header(f, path):  # a disk that fills part-way
+            with open(path, "wb") as fh:
+                fh.write(b"coordinate,re,im\r\n")
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(scenario, "write_csv", disk_full_after_header)
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: cannot write {artifact}: {os.strerror(errno.ENOSPC)}"]
+        assert not artifact.exists()
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_check_all_reports_unwritable_output_files(self, tmp_path, capsys):
         good = write_cfg(tmp_path, checks="parseval")
