@@ -26,6 +26,7 @@ __all__ = [
     "total_energy",
     "transform_density",
     "spectrum",
+    "spectral_centroid",
 ]
 
 
@@ -75,14 +76,19 @@ def transform_density(h_A: float, s: int, boost: BoostParams) -> float:
 
 
 def spectrum(packet: SampledFunction) -> tuple:
-    """Momentum representation of the E amplitude, and its |E~|^2-weighted
-    mean k (None for a zero field).
-    """
+    """Momentum representation of the E amplitude, and its spectral centroid."""
     ft = spectral.to_momentum(packet)
+    return ft, spectral_centroid(ft)
+
+
+def spectral_centroid(ft: SampledFunction) -> float | None:
+    """The |ft|^2-weighted mean k (None for a zero ft).  A positive factor
+    on ft, such as a blip state's to its packet's, leaves it unchanged.
+    """
     weights = np.abs(ft.values)
     weights **= 2
     total = weights.sum()
     if total == 0.0:
-        return ft, None
+        return None
     weights *= ft.axis.points()
-    return ft, float(np.sum(weights) / total)
+    return float(np.sum(weights) / total)

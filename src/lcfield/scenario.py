@@ -10,7 +10,8 @@ bytes, copied and then parsed, and its axis must match the config's grid
 rejected input leaves no `state_input.csv`.
 
 Each boost's packet and state are built once and shared by the checks;
-a per-boost check keeps its worst record over the boosts.
+a per-boost check keeps its worst record over the boosts.  The Doppler
+centroid reads the state's transform: a centroid ignores a positive factor.
 """
 
 from __future__ import annotations
@@ -500,7 +501,7 @@ def _doppler_centroid(src: _Source, b: _Boosted):
     if base is None or base == 0.0:
         raise ValueError("doppler_centroid needs a carrier packet with "
                          "nonzero spectral centroid")
-    return xi(src.s, b.boost), cf.spectrum(b.packet)[1] / base, {}
+    return xi(src.s, b.boost), cf.spectral_centroid(b.momentum_state) / base, {}
 
 
 def _box_energy_conservation(src: _Source, b: _Boosted):
@@ -571,6 +572,6 @@ def _finalize(config: ScenarioConfig, checks, out_dir: Path) -> ScenarioReport:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     # Renamed into place, so that report.json is never a partial file.
     tmp = out_dir / "report.json.tmp"
-    write_output(tmp, lambda path: path.write_text(text))
+    write_file(tmp, lambda path: path.write_text(text))
     write_output(out_dir / "report.json", tmp.replace)
     return report

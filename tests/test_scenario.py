@@ -227,18 +227,20 @@ class TestRunScenario:
         assert rec.errored and rec.diagnostics == {"error": "non-finite result"}
 
     def test_one_forward_transform_per_state(self, tmp_path, monkeypatch):
-        # Per boost: the boosted state's momentum form, shared by the
-        # momentum-path and kernel checks, its matrix element's way back,
-        # and the boosted packet's spectrum.  Once: the same two for the
-        # source state, and the source packet's spectrum, shared by the
-        # centroid and parseval checks.
-        calls = []
+        # Per boost: the boosted state's momentum form (to k), shared by
+        # the Doppler centroid, momentum-path and kernel checks, and its
+        # matrix element's way back (to chi); the boosted packet is not
+        # transformed.  Once: the same two for the source state, and the
+        # source packet's momentum form (to k), shared by the base centroid
+        # and parseval.
+        to_k = []
         signed_dft = spectral._signed_dft
-        monkeypatch.setattr(spectral, "_signed_dft",
-                            lambda *args, **kw: calls.append(1) or signed_dft(*args, **kw))
+        monkeypatch.setattr(spectral, "_signed_dft", lambda *args, **kw:
+                            to_k.append(kw["to_k"]) or signed_dft(*args, **kw))
         path = write_cfg(tmp_path, extra="boosts = -0.5, 0.3, 0.6\n")
         assert run_scenario(load_config(path), config_dir=tmp_path).all_passed
-        assert len(calls) == 3 * 3 + 3
+        assert len(to_k) == 2 * 3 + 3
+        assert to_k.count(True) == 3 + 2 and to_k.count(False) == 3 + 1
 
     @pytest.mark.parametrize("amplitude", ["1e160", "1e308", "1e-160"])
     def test_extreme_amplitude_gives_unit_state(self, tmp_path, amplitude):
@@ -454,12 +456,22 @@ def with_power(wrong: float, right: float):
     return patched
 
 
+def chi_scaled_by_kappa(field, boost, target, power):
+    """boost_field, but with kappa in place of xi as the chi channel's scale:
+    xi at -beta is kappa at beta.
+    """
+    if field.representation is grid.Representation.POSITION_CHI:
+        boost = make_boost(-boost.beta)
+    return boost_field(field, boost, target, power)
+
+
 class TestNegativeControls:
-    """Each conservation check, and signal_exchange, fails when the law it
-    checks is broken.
+    """Each conservation check, the Doppler centroid and signal_exchange
+    fail when the law they check is broken.
     """
 
-    CHECKS = "box_energy_conservation, naive_energy_ratio, photon_number_conservation"
+    CHECKS = ("doppler_centroid, box_energy_conservation, naive_energy_ratio, "
+              "photon_number_conservation")
     # A check's boost, where it is not beta = 0.5 (whose kappa is not exact):
     # signal_exchange runs next to beta = -1, where kappa is 1.67e-8.
     BETA = {"signal_exchange": -0.9999999999999995}
@@ -477,6 +489,7 @@ class TestNegativeControls:
         assert self.records(tmp_path, "signal_exchange", beta)["signal_exchange"].passed
 
     @pytest.mark.parametrize("check, module, attr, fake", [
+        ("doppler_centroid", scenario, "boost_field", chi_scaled_by_kappa),
         ("photon_number_conservation", scenario, "boost_field", with_power(1, 0.5)),
         ("naive_energy_ratio", scenario, "boost_field", with_power(0.5, 1)),
         ("box_energy_conservation", scenario.cf, "transform_density",
@@ -676,6 +689,23 @@ class TestCli:
             f"error: cannot write {artifact}: {os.strerror(errno.ENOSPC)}"]
         assert not artifact.exists()
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_report_failing_part_way_is_removed(self, tmp_path, capsys, monkeypatch):
+        path = write_cfg(tmp_path, checks="parseval")
+        tmp = tmp_path / "out" / "report.json.tmp"
+
+        def disk_full_after_100_bytes(self, text):
+            with open(self, "w") as fh:
+                fh.write(text[:100])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(pathlib.Path, "write_text", disk_full_after_100_bytes)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: cannot write {tmp}: {os.strerror(errno.ENOSPC)}"]
+        assert not tmp.exists()
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert (tmp_path / "out" / "state_input.csv").is_file()
 
     def test_check_all_reports_unwritable_output_files(self, tmp_path, capsys):
         good = write_cfg(tmp_path, checks="parseval")
