@@ -80,8 +80,9 @@ def field_matrix_element(ft: SampledFunction, target: Axis,
     """
     if ft.pol != "H":
         raise ValueError(f"the matrix element needs an H-polarized state, got {ft.pol}")
-    m = kernel_multiplier(ft.axis, constants)
-    return spectral.to_position(ft.with_values(frozen(m * ft.values)), target=target)
+    # The multiplier is dropped before the transform: only its product is kept.
+    weighted = frozen(kernel_multiplier(ft.axis, constants) * ft.values)
+    return spectral.to_position(ft.with_values(weighted), target=target)
 
 
 def kernel_consistency_check(me_A: SampledFunction, me_B: SampledFunction,

@@ -9,9 +9,10 @@ bytes, copied and then parsed, and its axis must match the config's grid
 (`Axis.matches`); a generated amplitude is written by `write_csv`.  A
 rejected input leaves no `state_input.csv`.
 
-Each boost's packet and state are built once and shared by the checks;
-a per-boost check keeps its worst record over the boosts.  The Doppler
-centroid reads the state's transform: a centroid ignores a positive factor.
+Each boost's state is built once and shared by the checks, its packet
+once per check that reads it; a per-boost check keeps its worst record.
+The Doppler centroid reads the state's transform: a centroid ignores a
+positive factor.
 """
 
 from __future__ import annotations
@@ -222,6 +223,8 @@ def load_config(path) -> ScenarioConfig:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{path}: not UTF-8 text (byte {exc.start})"]) from None
+    except OSError as exc:
+        raise ConfigError([f"cannot read {path}: {exc.strerror or exc}"]) from None
     raw = _parse_config_text(text)
     problems = []
     args = {"config": {}, "grid": {}, "constants": {}, "tolerances": {}}
@@ -360,8 +363,10 @@ class _Source:
 
 
 class _Boosted:
-    """One boost's packet and blip state, each built on first use on the
-    source grid stretched about chi = 0 by kappa.
+    """One boost's packet and blip state on the source grid stretched about
+    chi = 0 by kappa, where a boost is one multiply (the samples do not
+    move).  The state is built on first use and kept; the packet is rebuilt
+    for each check that reads it, so it is freed after the last one.
     """
 
     def __init__(self, src: _Source, boost):
@@ -374,7 +379,7 @@ class _Boosted:
         grid, kap = self.src.config.grid, kappa(self.src.s, self.boost)
         return Axis(start=grid.start * kap, step=grid.step * kap, count=grid.count)
 
-    @cached_property
+    @property
     def packet(self) -> SampledFunction:
         return boost_field(self.src.packet, self.boost, self.target, power=1)
 

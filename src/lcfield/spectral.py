@@ -18,17 +18,22 @@ from .grid import Axis, Representation, SampledFunction, _cis, _turns, frozen, n
 __all__ = ["to_momentum", "to_position", "parseval_check"]
 
 
-def _linear_phase(r: float, n: int) -> np.ndarray:
-    """exp(2*pi*i*r*q) for q = -n/2 ... n/2 - 1.
+def _apply_linear_phase(src: np.ndarray, out: np.ndarray, r: float) -> None:
+    """out = src * exp(2*pi*i*r*q) for q = -n/2 ... n/2 - 1; `out` may be `src`.
 
-    q = -n/2 + width*h + l makes the vector the outer product of a coarse
-    table (over h) and a fine one (over l), so it takes about 2*sqrt(n)
-    complex exps instead of n.
+    q = -n/2 + width*h + l makes the phase the outer product of a coarse
+    table (over rows h) and a fine one (over l): about 2*sqrt(n) complex
+    exps, multiplied out a block of rows (about 2**15 products) at a time.
     """
+    n = len(out)
     width = 1 << (n.bit_length() // 2)
     coarse = _cis(_turns(r, np.arange(-(n // 2), n // 2, width)))
     fine = _cis(_turns(r, np.arange(width)))
-    return np.multiply.outer(coarse, fine).ravel()[:n]
+    rows = max(1, 2**15 // width)
+    for h in range(0, len(coarse), rows):
+        lo, hi = h * width, min((h + rows) * width, n)
+        phase = (coarse[h:h + rows, None] * fine).ravel()[:hi - lo]
+        np.multiply(src[lo:hi], phase, out=out[lo:hi])
 
 
 def _signed_dft(values: np.ndarray, offset: float, sign: int, to_k: bool) -> np.ndarray:
@@ -40,21 +45,23 @@ def _signed_dft(values: np.ndarray, offset: float, sign: int, to_k: bool) -> np.
     k*chi*n/(2*pi) = (m - n/2)*(offset + j) = offset*(m - n/2) + m*j - (n/2)*j.
     The first term is a linear phase on the k index, reduced exactly; the
     second is the FFT; the last is (-1)**j, a sign flip on every other chi
-    sample.
+    sample.  Besides the FFT's own scratch, the result is the only n-long
+    array allocated.
     """
     n = len(values)
-    phase = _linear_phase(sign * offset / n, n)
-    out = np.array(values, dtype=complex)
+    r = sign * offset / n
     if to_k:
+        out = np.array(values, dtype=complex)
         out[1::2] *= -1
     else:
-        out *= phase
+        out = np.empty(n, dtype=complex)
+        _apply_linear_phase(values, out, r)
     if sign == -1:
         np.fft.fft(out, out=out)
     else:
         np.fft.ifft(out, norm="forward", out=out)
     if to_k:
-        out *= phase
+        _apply_linear_phase(out, out, r)
     else:
         out[1::2] *= -1
     return out

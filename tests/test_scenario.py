@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -523,6 +524,30 @@ def test_transform_checks_exact_at_2_18(tmp_path):
     assert kernel.rel_error <= 1e-11
 
 
+def test_check_memory_at_2_18(tmp_path):
+    # One boost, all nine checks.  The transforms allocate only their
+    # results, and the boosted packet is freed after its last check: the
+    # traced peak reads 36.4 MiB.  It read 42.4 MiB when each transform
+    # built an n-long phase vector and copied its input, the matrix element
+    # kept its sqrt|k| multiplier through the transform, and the boosted
+    # packet stayed cached.
+    n = 2 ** 18
+    path = tmp_path / "big.cfg"
+    path.write_text(
+        f"grid.start = -100.0\ngrid.step = {200.0 / n!r}\ngrid.count = {n}\n"
+        "state.kind = gaussian_carrier\nstate.width = 12.0\n"
+        "state.carrier_k = 0.6283185307179586\nboosts = 0.3\n")
+    config = load_config(path)
+    tracemalloc.start()
+    try:
+        report = run_scenario(config, config_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed and len(report.checks) == len(ALL_CHECKS)
+    assert peak <= 37 * 2**20
+
+
 def test_kinematic_checks_round_off_on_sweep_boosts(tmp_path):
     # These two checks set the benchmark's worst_err_over_tol on the
     # 19-boost sweep.  The pulse times t_A/(1 - beta) and t_A*gamma read
@@ -638,6 +663,27 @@ class TestCli:
         assert len(err.splitlines()) == 1 and str(path) in err and "UTF-8" in err
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def deny_reading(monkeypatch, denied):
+        """Path.read_text raising PermissionError for the file `denied`
+        (chmod does not stop root from reading it).
+        """
+        read_text = pathlib.Path.read_text
+
+        def fake(self, *args, **kwargs):
+            if self == denied:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+            return read_text(self, *args, **kwargs)
+        monkeypatch.setattr(pathlib.Path, "read_text", fake)
+
+    def test_unreadable_config_exit_two(self, tmp_path, capsys, monkeypatch):
+        path = write_cfg(tmp_path, checks="parseval")
+        self.deny_reading(monkeypatch, path)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(path) in err and "denied" in err
+        assert not (tmp_path / "out").exists()
+
     def test_uncreatable_output_dir_exit_two(self, tmp_path, capsys):
         (tmp_path / "blocker").write_text("a file, not a directory\n")
         path = write_cfg(tmp_path, checks="parseval", out="blocker/sub")
@@ -645,16 +691,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(tmp_path / "blocker" / "sub") in err
 
-    def test_check_all_reports_bad_configs_and_runs_the_rest(self, tmp_path, capsys):
+    def test_check_all_reports_bad_configs_and_runs_the_rest(self, tmp_path, capsys,
+                                                             monkeypatch):
         good = write_cfg(tmp_path, checks="parseval")
         (tmp_path / "latin1.cfg").write_bytes(good.read_bytes() + b"# caf\xe9\n")
         (tmp_path / "blocker").write_text("a file, not a directory\n")
         (tmp_path / "blocked.cfg").write_text(
             good.read_text().replace("output_dir = out", "output_dir = blocker/sub"))
+        (tmp_path / "denied.cfg").write_text(good.read_text())
+        self.deny_reading(monkeypatch, tmp_path / "denied.cfg")
         assert main(["check-all", str(tmp_path)]) == 1
         rows = {line.split()[0]: line.split()[1]
                 for line in capsys.readouterr().out.splitlines()}
-        assert rows == {"blocked": "CONFIG-ERROR", "latin1": "CONFIG-ERROR", "scn": "PASS"}
+        assert rows == {"blocked": "CONFIG-ERROR", "denied": "CONFIG-ERROR",
+                        "latin1": "CONFIG-ERROR", "scn": "PASS"}
         assert (tmp_path / "out" / "report.json").is_file()
 
     @pytest.mark.parametrize("name,extra", [

@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcfield.grid import Axis, Representation, SampledFunction, _turns, norm
-from lcfield.spectral import parseval_check, to_momentum, to_position
+from lcfield.grid import Axis, Representation, SampledFunction, _cis, _turns, norm
+from lcfield.spectral import _signed_dft, parseval_check, to_momentum, to_position
 
 
 def make_axis(n=2048, span=80.0):
@@ -161,6 +161,47 @@ class TestSignedDft:
         f = to_position(mom, target=chi_axis)
         want = direct_transform(values, chi_axis, s, to_k=False)
         assert np.abs(f.values - want).max() <= 1e-13 * np.abs(want).max()
+
+    @staticmethod
+    def outer_product_dft(values, offset, sign, to_k):
+        """_signed_dft with its whole n-long linear phase built first, as the
+        outer product of the coarse and fine tables, and the input copied
+        before it is multiplied in place.
+        """
+        n = len(values)
+        r = sign * offset / n
+        width = 1 << (n.bit_length() // 2)
+        coarse = _cis(_turns(r, np.arange(-(n // 2), n // 2, width)))
+        fine = _cis(_turns(r, np.arange(width)))
+        phase = np.multiply.outer(coarse, fine).ravel()[:n]
+        out = np.array(values, dtype=complex)
+        if to_k:
+            out[1::2] *= -1
+        else:
+            out *= phase
+        if sign == -1:
+            np.fft.fft(out, out=out)
+        else:
+            np.fft.ifft(out, norm="forward", out=out)
+        if to_k:
+            out *= phase
+        else:
+            out[1::2] *= -1
+        return out
+
+    # Row widths 2, 32, 32, 64, 256, 256 over 3, 25, 32 (the last row
+    # short), 64, 256 and 257 rows (the last row short, past two full
+    # blocks of rows).
+    @pytest.mark.parametrize("n", [6, 800, 1000, 2**12, 2**16, 2**16 + 2])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("to_k", [True, False])
+    def test_bit_identical_to_outer_product_phase(self, n, sign, to_k):
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for offset in (-(n // 2), -12.3456789 / 0.3, 7.7e5 / 0.3):
+            got = _signed_dft(values, offset, sign, to_k)
+            want = self.outer_product_dft(values, offset, sign, to_k)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("r", [0.5, -0.643004109375, 1 / 3, -2.0 ** -40 / 3, 123456.789])
     def test_turns_exact_mod_one(self, r):
