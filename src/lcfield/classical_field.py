@@ -1,9 +1,9 @@
 """Classical wave packets on the light cone.
 
 A packet is one `SampledFunction` holding the complex analytic E amplitude
-of a wave moving in its direction s, tagged "H"; B is never stored since a
-traveling wave fixes B(chi) = s*E(chi)/c, which makes the E/B ratio
-frame-invariant by construction.  Propagation is exact relabeling along
+of a wave moving in its direction s, tagged with its polarization; B is never
+stored since a traveling wave fixes |B(chi)| = |E(chi)|/c (B = s*E/c for H),
+which makes the E/B ratio frame-invariant.  Propagation is exact relabeling along
 chi = x - s*c*t (`grid.evaluate_at`); a boost is `grid.boost_field` with
 power 1, E_B(chi_B) = xi * E_A(xi * chi_B), and B follows with the same
 factor since it is derived.

@@ -48,7 +48,7 @@ def _cmd_check_all(args) -> int:
     for path in configs:
         try:
             report = run_scenario(load_config(path), config_dir=path.parent)
-        except (FileNotFoundError, ConfigError) as exc:
+        except ConfigError as exc:
             rows.append((path.stem, "CONFIG-ERROR", str(exc)))
             failures += 1
             continue
@@ -88,7 +88,7 @@ def main(argv=None) -> int:
         return _cmd_check_all(args)
     try:
         return _cmd_run(args, load_config(args.config))
-    except (FileNotFoundError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

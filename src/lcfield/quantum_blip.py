@@ -71,15 +71,13 @@ def kernel_multiplier(k_axis: Axis,
 
 def field_matrix_element(ft: SampledFunction, target: Axis,
                          constants: FieldConstants = FieldConstants()) -> SampledFunction:
-    """Vacuum-to-one-photon matrix element of the electric field of an H
+    """Vacuum-to-one-photon matrix element of the electric field of a
     state: int c * R(chi - chi') * psi(chi') dchi' on the chi axis
     `target`, computed as the sqrt(|k|) Fourier multiplier.
 
-    `ft` is the state's momentum representation, `spectral.to_momentum` of
-    a state sampled on `target`.  The magnetic counterpart is s * result / c.
+    `ft` is `spectral.to_momentum` of a state sampled on `target`.  For an H
+    state the magnetic counterpart is s * result / c.
     """
-    if ft.pol != "H":
-        raise ValueError(f"the matrix element needs an H-polarized state, got {ft.pol}")
     # The multiplier is dropped before the transform: only its product is kept.
     weighted = frozen(kernel_multiplier(ft.axis, constants) * ft.values)
     return spectral.to_position(ft.with_values(weighted), target=target)

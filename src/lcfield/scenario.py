@@ -217,8 +217,6 @@ def load_config(path) -> ScenarioConfig:
     rules.  All validation problems are aggregated into one ConfigError.
     """
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"config file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -254,11 +252,14 @@ def load_config(path) -> ScenarioConfig:
     return config
 
 
-def _build_amplitude(config: ScenarioConfig, artifact: Path) -> SampledFunction:
-    """A custom amplitude, parsed from `artifact` (the run's copy of its
-    input file) and put on `config.grid`, or a generated one.
+def _build_amplitude(config: ScenarioConfig, artifact: Path,
+                     copy_from=None) -> SampledFunction:
+    """A custom amplitude, parsed from `artifact` (first written from the open
+    input file `copy_from`, if given) and put on `config.grid`, or a generated one.
     """
     if config.state_kind == "custom":
+        if copy_from is not None:
+            artifact.write_bytes(copy_from.read())  # released before parsing
         f = read_csv(artifact, Representation.POSITION_CHI, config.state_s,
                      config.state_pol)
         if not f.axis.matches(config.grid):
@@ -314,7 +315,7 @@ class _Source:
         self.config = config
         self.boosts = boosts
         self.s = config.state_s
-        self.packet = amp.with_values(amp.values, pol="H")
+        self.packet = amp
         # Divided first by a power of two within a factor 2 of the peak, so
         # that |amp|**2 cannot overflow.  That division is exact (short of a
         # subnormal result), so a state whose norm did not overflow before
@@ -400,62 +401,53 @@ def _output_step(message: str, step, *args, **kwargs) -> None:
         raise ConfigError([f"{message}: {exc.strerror or exc}"]) from None
 
 
-def write_output(path: Path, write) -> None:
-    """`write(path)`; a ConfigError names `path` if that fails."""
-    _output_step(f"cannot write {path}", write, path)
-
-
-def write_file(path: Path, write) -> None:
-    """`write(path)`, which writes the file `path` whole.  If that fails,
-    a file left at `path` (written part-way, say on a full disk) is removed
-    and a ConfigError names `path`.
+def _write(path: Path, write):
+    """`write(tmp)` on `<name>.tmp`, renamed to `path`; returns its result.
+    However the call ends, no tmp file is left; an OSError becomes a
+    ConfigError that names `path`.
     """
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        write_output(path, write)
-    except ConfigError:
-        if path.is_file():
-            write_output(path, Path.unlink)
-        raise
+        try:
+            result = write(tmp)
+            tmp.replace(path)
+            return result
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"cannot write {path}: {exc.strerror or exc}"]) from None
 
 
 def run_scenario(config: ScenarioConfig, config_dir: Path | None = None) -> ScenarioReport:
     """Execute every requested check and persist the report and CSV dumps."""
     config_dir = Path(config_dir) if config_dir is not None else Path(".")
-    out_dir = Path(config.output_dir)
-    if not out_dir.is_absolute():
-        out_dir = config_dir / out_dir
+    out_dir = config_dir / config.output_dir  # an absolute path stays as is
     _output_step(f"cannot create output directory {out_dir}", out_dir.mkdir,
                  parents=True, exist_ok=True)
-    # A run that stops early must not leave an earlier run's report behind.
-    write_output(out_dir / "report.json", lambda path: path.unlink(missing_ok=True))
-
     boosts = [make_boost(b) for b in config.boosts] or [make_boost(0.0)]
-    # state_input.csv holds the amplitude the checks run on: a custom
-    # input's own bytes, copied and then parsed, or a generated amplitude,
-    # written once accepted.  A rejected input leaves none, but the
-    # config's own state.file is never rewritten or removed.
+    # state_input.csv holds the amplitude the checks run on: a custom input's
+    # own bytes, parsed before they are renamed into place, or a generated
+    # amplitude, written once accepted.  The config's own state.file stays.
     artifact = out_dir / "state_input.csv"
-    custom = config.state_kind == "custom"
-    own = False
+    source = config_dir / config.state_file if config.state_kind == "custom" else None
+    own = source is not None and source.resolve() == artifact.resolve()
+    # A run that stops early must not leave an earlier run's files behind.
+    for path in [out_dir / "report.json"] + ([] if own else [artifact]):
+        _output_step(f"cannot write {path}", path.unlink, missing_ok=True)
     try:
-        if custom:
-            source = config_dir / config.state_file  # an absolute path stays as is
-            own = source.resolve() == artifact.resolve()
-            if not own:
-                raw = source.read_bytes()
-                write_file(artifact, lambda path: path.write_bytes(raw))
-                del raw  # released before the checks run
-        amp = _build_amplitude(config, artifact)
+        if source is not None and not own:
+            with source.open("rb") as fh:  # a missing input errors every check
+                amp = _write(artifact, lambda tmp: _build_amplitude(config, tmp, fh))
+        else:
+            amp = _build_amplitude(config, artifact)
     except ConfigError:
         raise
     except Exception as exc:
-        if not own:
-            write_output(artifact, lambda path: path.unlink(missing_ok=True))
         checks = [_errored(name, config.tolerance(name), str(exc))
                   for name in config.checks]
         return _finalize(config, checks, out_dir)
-    if not custom:
-        write_file(artifact, lambda path: write_csv(amp, path))
+    if source is None:
+        _write(artifact, lambda tmp: write_csv(amp, tmp))
 
     src = _Source(config, amp, boosts)
     worst = {}  # check name -> its worst record so far, or its error
@@ -575,8 +567,5 @@ def _finalize(config: ScenarioConfig, checks, out_dir: Path) -> ScenarioReport:
     for rec in payload["checks"]:
         rec["pass"] = rec.pop("passed")
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    # Renamed into place, so that report.json is never a partial file.
-    tmp = out_dir / "report.json.tmp"
-    write_file(tmp, lambda path: path.write_text(text))
-    write_output(out_dir / "report.json", tmp.replace)
+    _write(out_dir / "report.json", lambda tmp: tmp.write_text(text))
     return report

@@ -251,9 +251,13 @@ class TestFieldMatrixElement:
         me = matrix_element(zero)
         assert np.all(me.values == 0)
 
-    def test_rejects_v_polarization(self):
-        with pytest.raises(ValueError, match="H-polarized"):
-            matrix_element(unit_state(carrier=2.0, pol="V"))
+    def test_v_polarization_same_as_h(self):
+        # The multiplier does not depend on polarization; only the tag differs.
+        me_h = matrix_element(unit_state(carrier=2.0, pol="H"))
+        me_v = matrix_element(unit_state(carrier=2.0, pol="V"))
+        assert me_v.pol == "V"
+        np.testing.assert_array_equal(me_v.values, me_h.values)
+        assert me_v.axis == me_h.axis and me_v.leakage == me_h.leakage
 
     def test_sqrt_carrier_scaling(self):
         # near-monochromatic state: peak |E| scales as sqrt(k0)

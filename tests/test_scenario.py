@@ -114,7 +114,7 @@ class TestLoadConfig:
         assert cfg.tolerance("reciprocity") == DEFAULT_TOLERANCES["reciprocity"]
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(ConfigError, match="cannot read .*nope.cfg"):
             load_config(tmp_path / "nope.cfg")
 
     def test_aggregated_problems(self, tmp_path):
@@ -280,21 +280,26 @@ class TestRunScenario:
         rec = report.checks[0]
         assert not rec.passed and not rec.errored
 
-    def test_errored_check_recorded(self, tmp_path):
-        # kernel_consistency rejects a V-polarized state; the failure is
-        # recorded as an errored check rather than raised.
-        path = tmp_path / "scn.cfg"
-        path.write_text("grid.start = -40.0\ngrid.step = 0.0390625\n"
-                        "grid.count = 2048\nstate.kind = gaussian_carrier\n"
-                        "state.width = 4.0\nstate.carrier_k = 2.0\n"
-                        "state.lambda = V\nboosts = 0.6\n"
-                        "checks = kernel_consistency, parseval\n")
+    def test_errored_check_recorded(self, tmp_path, monkeypatch):
+        # A check that raises is recorded as an errored check rather than
+        # raised, and the other checks still run.
+        def broken(src, b):
+            raise ValueError("broken check")
+
+        monkeypatch.setitem(scenario._BOOST_CHECKS, "kernel_consistency", broken)
+        path = write_cfg(tmp_path, checks="kernel_consistency, parseval")
         report = run_scenario(load_config(path), config_dir=tmp_path)
         assert not report.all_passed
         rec = {c.name: c for c in report.checks}
         assert rec["kernel_consistency"].errored
-        assert "error" in rec["kernel_consistency"].diagnostics
+        assert rec["kernel_consistency"].diagnostics == {"error": "broken check"}
         assert rec["parseval"].passed
+
+    def test_v_polarization_passes(self, tmp_path):
+        h = run_scenario(load_config(write_cfg(tmp_path)), config_dir=tmp_path)
+        path = write_cfg(tmp_path, extra="state.lambda = V\n")
+        v = run_scenario(load_config(path), config_dir=tmp_path)
+        assert v.all_passed and v.checks == h.checks
 
     def test_custom_state_roundtrip(self, tmp_path):
         base = write_cfg(tmp_path, checks="parseval, photon_number_conservation")
@@ -371,7 +376,7 @@ class TestStateInput:
     def test_generated_input_written_once(self, tmp_path, monkeypatch, capsys):
         calls = self.count_write_csv(monkeypatch)
         assert main(["run", str(write_cfg(tmp_path))]) == 0
-        assert calls == [tmp_path / "out" / "state_input.csv"]
+        assert calls == [tmp_path / "out" / "state_input.csv.tmp"]
 
     @staticmethod
     def reject(tmp_path, why):
@@ -411,7 +416,7 @@ class TestStateInput:
         assert (tmp_path / "out" / "state_input.csv").is_file()
         extra, message = self.reject(tmp_path, why)
         assert main(["run", str(write_cfg(tmp_path, extra=extra))]) == 1
-        assert not (tmp_path / "out" / "state_input.csv").exists()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.json"]
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(payload["checks"]) == len(ALL_CHECKS)
         for rec in payload["checks"]:
@@ -581,8 +586,8 @@ def test_runner_imports_no_scipy_signal_or_integrate(tmp_path):
 
 def test_runner_loads_no_numpy_random_or_openssl(tmp_path):
     # numpy.random and OpenSSL (loaded by importing hashlib) each cost
-    # megabytes of resident memory and milliseconds of start-up.  numpy
-    # 1.x imports numpy.random itself, so only what lcfield adds counts.
+    # megabytes of resident memory and milliseconds of start-up.  Only what
+    # lcfield adds beyond `import numpy` counts.
     path = write_cfg(tmp_path, checks=", ".join(ALL_CHECKS))
     code = (
         "import sys, json, numpy\n"
@@ -634,8 +639,12 @@ class TestCli:
         assert "FAIL" in capsys.readouterr().out
 
     def test_missing_config_exit_two(self, tmp_path, capsys):
-        assert main(["run", str(tmp_path / "nope.cfg")]) == 2
-        assert "error" in capsys.readouterr().err
+        path = tmp_path / "nope.cfg"
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: cannot read {path}: {os.strerror(errno.ENOENT)}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1e-3"])
     def test_bad_tolerance_exit_two(self, tmp_path, capsys, value):
@@ -742,7 +751,7 @@ class TestCli:
 
     def test_report_failing_part_way_is_removed(self, tmp_path, capsys, monkeypatch):
         path = write_cfg(tmp_path, checks="parseval")
-        tmp = tmp_path / "out" / "report.json.tmp"
+        report = tmp_path / "out" / "report.json"
 
         def disk_full_after_100_bytes(self, text):
             with open(self, "w") as fh:
@@ -752,10 +761,24 @@ class TestCli:
         monkeypatch.setattr(pathlib.Path, "write_text", disk_full_after_100_bytes)
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: cannot write {tmp}: {os.strerror(errno.ENOSPC)}"]
-        assert not tmp.exists()
-        assert not (tmp_path / "out" / "report.json").exists()
-        assert (tmp_path / "out" / "state_input.csv").is_file()
+        assert err.splitlines() == [
+            f"error: cannot write {report}: {os.strerror(errno.ENOSPC)}"]
+        assert not report.exists()
+        assert sorted(p.name for p in report.parent.iterdir()) == ["state_input.csv"]
+
+    def test_interrupted_state_input_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        path = write_cfg(tmp_path, checks="parseval")
+        assert main(["run", str(path)]) == 0
+
+        def interrupted_after_header(f, path):  # Ctrl-C part-way through
+            with open(path, "wb") as fh:
+                fh.write(b"coordinate,re,im\r\n")
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(scenario, "write_csv", interrupted_after_header)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", str(path)])
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_check_all_reports_unwritable_output_files(self, tmp_path, capsys):
         good = write_cfg(tmp_path, checks="parseval")
