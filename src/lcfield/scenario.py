@@ -11,8 +11,8 @@ rejected input leaves no `state_input.csv`.
 
 Each boost's state is built once and shared by the checks, its packet
 once per check that reads it; a per-boost check keeps its worst record.
-The Doppler centroid reads the state's transform: a centroid ignores a
-positive factor.
+The Doppler centroid and Parseval read the state's transform: a centroid
+and a Parseval ratio ignore a positive factor.
 """
 
 from __future__ import annotations
@@ -110,6 +110,8 @@ class ScenarioConfig:
             problems.append("state.s: must be +1 or -1")
         if self.state_pol not in ("H", "V"):
             problems.append("state.lambda: must be H or V")
+        if not self.checks:
+            problems.append("checks: must name at least one check")
         problems += [f"checks: unknown check {name!r}"
                      for name in self.checks if name not in ALL_CHECKS]
         problems += [f"checks: duplicate check {name!r}"
@@ -308,7 +310,9 @@ def _errored(name, tolerance, message) -> CheckRecord:
 
 class _Source:
     """A scenario's unboosted packet and blip state, and the boost-independent
-    quantities the checks derive from them, each computed on first use.
+    quantities the checks derive from them, each computed on first use.  The
+    state, the packet divided by one positive number, is the one transformed;
+    only the two energy checks read the packet.
     """
 
     def __init__(self, config: ScenarioConfig, amp: SampledFunction, boosts):
@@ -327,16 +331,9 @@ class _Source:
         self.state = unit.with_values(frozen(unit.values / nrm))
 
     @cached_property
-    def momentum_state(self) -> SampledFunction:
-        return spectral.to_momentum(self.state)
-
-    @cached_property
     def spectrum(self) -> tuple:
-        """The packet's spectral centroid and Parseval error, both read
-        from its one momentum transform, which is not kept.
-        """
-        momentum, centroid = cf.spectrum(self.packet)
-        return centroid, spectral.parseval_check(self.packet, momentum)
+        """The state's momentum transform and its spectral centroid."""
+        return cf.spectrum(self.state)
 
     @cached_property
     def box(self) -> cf.WorldlineBox:
@@ -359,7 +356,7 @@ class _Source:
 
     @cached_property
     def matrix_element(self) -> SampledFunction:
-        return qb.field_matrix_element(self.momentum_state, self.config.grid,
+        return qb.field_matrix_element(self.spectrum[0], self.config.grid,
                                        self.config.constants)
 
 
@@ -490,11 +487,11 @@ def _signal_exchange(src: _Source) -> float:
 
 
 def _parseval(src: _Source) -> float:
-    return src.spectrum[1]
+    return spectral.parseval_check(src.state, src.spectrum[0])
 
 
 def _doppler_centroid(src: _Source, b: _Boosted):
-    base = src.spectrum[0]
+    base = src.spectrum[1]
     if base is None or base == 0.0:
         raise ValueError("doppler_centroid needs a carrier packet with "
                          "nonzero spectral centroid")
@@ -519,7 +516,7 @@ def _photon_number_conservation(src: _Source, b: _Boosted):
 
 def _momentum_path_commutativity(src: _Source, b: _Boosted):
     via_chi = b.momentum_state
-    via_k = boost_field(src.momentum_state, b.boost, via_chi.axis, power=0.5)
+    via_k = boost_field(src.spectrum[0], b.boost, via_chi.axis, power=0.5)
     return 0.0, l2_distance(via_chi, via_k), {}
 
 

@@ -228,33 +228,48 @@ class TestRunScenario:
         assert rec.errored and rec.diagnostics == {"error": "non-finite result"}
 
     def test_one_forward_transform_per_state(self, tmp_path, monkeypatch):
-        # Per boost: the boosted state's momentum form (to k), shared by
-        # the Doppler centroid, momentum-path and kernel checks, and its
-        # matrix element's way back (to chi); the boosted packet is not
-        # transformed.  Once: the same two for the source state, and the
-        # source packet's momentum form (to k), shared by the base centroid
-        # and parseval.
-        to_k = []
-        signed_dft = spectral._signed_dft
-        monkeypatch.setattr(spectral, "_signed_dft", lambda *args, **kw:
-                            to_k.append(kw["to_k"]) or signed_dft(*args, **kw))
+        # Per frame, the source's included: the state's momentum form (to
+        # k), shared by the Doppler centroid, momentum-path and kernel
+        # checks (and, at the source, parseval), and its matrix element's
+        # way back (to chi).  No packet is transformed.
+        calls, packets = [], []
+        signed_dft, boost = spectral._signed_dft, scenario.boost_field
+
+        def record_dft(values, *args, **kw):
+            calls.append((values, kw["to_k"]))
+            return signed_dft(values, *args, **kw)
+
+        def record_packets(f, *args, **kw):
+            out = boost(f, *args, **kw)
+            if kw["power"] == 1:
+                packets.extend([f.values, out.values])
+            return out
+
+        monkeypatch.setattr(spectral, "_signed_dft", record_dft)
+        monkeypatch.setattr(scenario, "boost_field", record_packets)
         path = write_cfg(tmp_path, extra="boosts = -0.5, 0.3, 0.6\n")
         assert run_scenario(load_config(path), config_dir=tmp_path).all_passed
-        assert len(to_k) == 2 * 3 + 3
-        assert to_k.count(True) == 3 + 2 and to_k.count(False) == 3 + 1
+        to_k = [k for _, k in calls]
+        assert len(to_k) == 2 * (3 + 1)
+        assert to_k.count(True) == 3 + 1 and to_k.count(False) == 3 + 1
+        assert packets and not any(np.array_equal(values, packet)
+                                   for values, _ in calls for packet in packets)
 
-    @pytest.mark.parametrize("amplitude", ["1e160", "1e308", "1e-160"])
+    @pytest.mark.parametrize("amplitude", ["1e160", "1e308", "1e-160", "1e-300"])
     def test_extreme_amplitude_gives_unit_state(self, tmp_path, amplitude):
-        # |amp|**2 overflows (or underflows) unless the state is scaled first.
-        checks = "photon_number_conservation, momentum_path_commutativity, kernel_consistency"
+        # |amp|**2 overflows (or underflows) unless the state is scaled
+        # first; the centroid and Parseval read the scaled state.
+        checks = ("photon_number_conservation, momentum_path_commutativity, "
+                  "kernel_consistency, doppler_centroid, parseval")
         path = write_cfg(tmp_path, checks=checks, extra=f"state.amplitude = {amplitude}\n")
         extreme = run_scenario(load_config(path), config_dir=tmp_path).checks
         path = write_cfg(tmp_path, checks=checks)
         plain = run_scenario(load_config(path), config_dir=tmp_path).checks
         assert extreme[0].expected == pytest.approx(1.0, rel=1e-14)
         for got, want in zip(extreme, plain):
-            assert got.passed and not got.errored
+            assert got.passed and not got.errored, got
             assert got.measured == pytest.approx(want.measured, rel=1e-12, abs=1e-15)
+        assert extreme[4].measured <= 1e-14
 
     @pytest.mark.parametrize("kind", ["gaussian", "custom"])
     def test_zero_amplitude_errored(self, tmp_path, capsys, kind):
@@ -829,8 +844,15 @@ class TestCli:
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         errored = {c["name"]: c["diagnostics"] for c in payload["checks"] if c["errored"]}
         assert errored == dict.fromkeys(
-            ["doppler_centroid", "box_energy_conservation", "naive_energy_ratio",
-             "parseval"], {"error": "non-finite result"})
+            ["box_energy_conservation", "naive_energy_ratio"],
+            {"error": "non-finite result"})
+
+    def test_empty_checks_exit_two(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, checks="")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: checks: must name at least one check"]
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_config_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
