@@ -26,7 +26,6 @@ __all__ = [
     "total_energy",
     "transform_density",
     "spectrum",
-    "spectral_centroid",
 ]
 
 
@@ -75,20 +74,17 @@ def transform_density(h_A: float, s: int, boost: BoostParams) -> float:
     return xi(s, boost) * h_A
 
 
-def spectrum(packet: SampledFunction) -> tuple:
-    """Momentum representation of the E amplitude, and its spectral centroid."""
-    ft = spectral.to_momentum(packet)
-    return ft, spectral_centroid(ft)
-
-
-def spectral_centroid(ft: SampledFunction) -> float | None:
-    """The |ft|^2-weighted mean k (None for a zero ft).  A positive factor
-    on ft, such as a blip state's to its packet's, leaves it unchanged.
+def spectrum(amp: SampledFunction) -> tuple:
+    """Momentum representation of a chi amplitude (an E packet or a blip
+    state), and its spectral centroid: the |ft|^2-weighted mean k, None for
+    a zero amplitude.  A positive factor on the amplitude, such as a blip
+    state's to its packet's, leaves the centroid unchanged.
     """
+    ft = spectral.to_momentum(amp)
     weights = np.abs(ft.values)
     weights **= 2
     total = weights.sum()
     if total == 0.0:
-        return None
+        return ft, None
     weights *= ft.axis.points()
-    return float(np.sum(weights) / total)
+    return ft, float(np.sum(weights) / total)

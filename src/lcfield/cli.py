@@ -43,25 +43,30 @@ def _cmd_check_all(args) -> int:
     if not configs:
         print(f"error: no .cfg files in {directory}", file=sys.stderr)
         return 2
-    failures = 0
     rows = []
+    used = {}  # resolved output directory -> the config that used it
     for path in configs:
         try:
-            report = run_scenario(load_config(path), config_dir=path.parent)
+            config = load_config(path)
+            try:
+                earlier = used.setdefault((path.parent / config.output_dir).resolve(), path.name)
+            except RuntimeError as exc:  # a symlink loop, before Python 3.13
+                raise ConfigError([f"output_dir: {exc}"]) from None
+            if earlier != path.name:
+                raise ConfigError([f"output_dir: already used by {earlier}"])
+            report = run_scenario(config, config_dir=path.parent)
         except ConfigError as exc:
             rows.append((path.stem, "CONFIG-ERROR", str(exc)))
-            failures += 1
             continue
         n_bad = sum(1 for c in report.checks if not c.passed or c.errored)
         if report.all_passed:
             rows.append((path.stem, "PASS", f"{len(report.checks)} checks"))
         else:
             rows.append((path.stem, "FAIL", f"{n_bad} failing checks"))
-            failures += 1
     width = max(len(r[0]) for r in rows)
     for name, status, detail in rows:
         print(f"{name:{width}s}  {status:12s}  {detail}")
-    return 1 if failures else 0
+    return 0 if all(status == "PASS" for _, status, _ in rows) else 1
 
 
 def main(argv=None) -> int:

@@ -9,10 +9,10 @@ bytes, copied and then parsed, and its axis must match the config's grid
 (`Axis.matches`); a generated amplitude is written by `write_csv`.  A
 rejected input leaves no `state_input.csv`.
 
-Each boost's state is built once and shared by the checks, its packet
-once per check that reads it; a per-boost check keeps its worst record.
-The Doppler centroid and Parseval read the state's transform: a centroid
-and a Parseval ratio ignore a positive factor.
+The source is the identity boost's frame, and each per-boost check
+compares one quantity of two frames, keeping its worst record.  The
+Doppler centroid and Parseval read the state's transform: a centroid and
+a Parseval ratio ignore a positive factor.
 """
 
 from __future__ import annotations
@@ -308,18 +308,72 @@ def _errored(name, tolerance, message) -> CheckRecord:
                        diagnostics={"error": message})
 
 
-class _Source:
-    """A scenario's unboosted packet and blip state, and the boost-independent
-    quantities the checks derive from them, each computed on first use.  The
-    state, the packet divided by one positive number, is the one transformed;
-    only the two energy checks read the packet.
+class _Frame:
+    """One boost's packet and blip state, on the source grid stretched about
+    chi = 0 by kappa, where a boost is one multiply (the samples do not
+    move), and the quantities the checks compare, each computed the same way
+    in every frame.  The state and its spectrum are built on first use and
+    kept; the rest is rebuilt for each check that reads it, and so freed.
+    """
+
+    def __init__(self, source: _Source, boost):
+        self.source = source
+        self.config = source.config
+        self.boost = boost
+
+    @cached_property
+    def axis(self) -> Axis:
+        # Built inside a check, so that a stretch that overflows errors it.
+        grid, kap = self.config.grid, kappa(self.config.state_s, self.boost)
+        return Axis(start=grid.start * kap, step=grid.step * kap, count=grid.count)
+
+    @property
+    def packet(self) -> SampledFunction:
+        return boost_field(self.source.packet, self.boost, self.axis, power=1)
+
+    @cached_property
+    def state(self) -> SampledFunction:
+        return boost_field(self.source.state, self.boost, self.axis, power=0.5)
+
+    @cached_property
+    def spectrum(self) -> tuple:
+        """The state's momentum transform and its spectral centroid."""
+        return cf.spectrum(self.state)
+
+    @property
+    def photon_number(self) -> float:
+        return qb.photon_number(self.state)
+
+    @property
+    def box_energy(self) -> float:
+        """The energy in the world-line box of +-6 widths about the center."""
+        cfg, kap = self.config, kappa(self.config.state_s, self.boost)
+        width = 6.0 * cfg.state_width
+        box = cf.WorldlineBox(a1=kap * (cfg.state_center - width),
+                              a2=kap * (cfg.state_center + width),
+                              h=cf.transform_density(cfg.h_density, cfg.state_s, self.boost))
+        return cf.box_energy(self.packet, box, cfg.constants)
+
+    @property
+    def total_energy(self) -> float:
+        return cf.total_energy(self.packet, self.config.constants)
+
+    @property
+    def matrix_element(self) -> SampledFunction:
+        return qb.field_matrix_element(self.spectrum[0], self.axis, self.config.constants)
+
+
+class _Source(_Frame):
+    """The identity boost's frame (kappa = xi = 1.0 exactly): its packet is
+    the input amplitude, and its state that amplitude scaled to unit photon
+    number.  Each of its quantities is read once per boost, so each is kept.
     """
 
     def __init__(self, config: ScenarioConfig, amp: SampledFunction, boosts):
         self.config = config
+        self.boost = make_boost(0.0)
         self.boosts = boosts
-        self.s = config.state_s
-        self.packet = amp
+        self.amp = amp
         # Divided first by a power of two within a factor 2 of the peak, so
         # that |amp|**2 cannot overflow.  That division is exact (short of a
         # subnormal result), so a state whose norm did not overflow before
@@ -330,64 +384,14 @@ class _Source:
         nrm = math.sqrt(qb.photon_number(unit))
         self.state = unit.with_values(frozen(unit.values / nrm))
 
-    @cached_property
-    def spectrum(self) -> tuple:
-        """The state's momentum transform and its spectral centroid."""
-        return cf.spectrum(self.state)
-
-    @cached_property
-    def box(self) -> cf.WorldlineBox:
-        cfg = self.config
-        width = 6.0 * cfg.state_width
-        return cf.WorldlineBox(a1=cfg.state_center - width, a2=cfg.state_center + width,
-                               h=cfg.h_density)
-
-    @cached_property
-    def box_energy(self) -> float:
-        return cf.box_energy(self.packet, self.box, self.config.constants)
-
-    @cached_property
-    def total_energy(self) -> float:
-        return cf.total_energy(self.packet, self.config.constants)
-
-    @cached_property
-    def photon_number(self) -> float:
-        return qb.photon_number(self.state)
-
-    @cached_property
-    def matrix_element(self) -> SampledFunction:
-        return qb.field_matrix_element(self.spectrum[0], self.config.grid,
-                                       self.config.constants)
-
-
-class _Boosted:
-    """One boost's packet and blip state on the source grid stretched about
-    chi = 0 by kappa, where a boost is one multiply (the samples do not
-    move).  The state is built on first use and kept; the packet is rebuilt
-    for each check that reads it, so it is freed after the last one.
-    """
-
-    def __init__(self, src: _Source, boost):
-        self.src = src
-        self.boost = boost
-
-    @cached_property
-    def target(self) -> Axis:
-        # Built inside a check, so that a stretch that overflows errors it.
-        grid, kap = self.src.config.grid, kappa(self.src.s, self.boost)
-        return Axis(start=grid.start * kap, step=grid.step * kap, count=grid.count)
-
     @property
     def packet(self) -> SampledFunction:
-        return boost_field(self.src.packet, self.boost, self.target, power=1)
+        return self.amp
 
-    @cached_property
-    def state(self) -> SampledFunction:
-        return boost_field(self.src.state, self.boost, self.target, power=0.5)
-
-    @cached_property
-    def momentum_state(self) -> SampledFunction:
-        return spectral.to_momentum(self.state)
+    photon_number = cached_property(_Frame.photon_number.fget)
+    box_energy = cached_property(_Frame.box_energy.fget)
+    total_energy = cached_property(_Frame.total_energy.fget)
+    matrix_element = cached_property(_Frame.matrix_element.fget)
 
 
 def _output_step(message: str, step, *args, **kwargs) -> None:
@@ -449,7 +453,7 @@ def run_scenario(config: ScenarioConfig, config_dir: Path | None = None) -> Scen
     src = _Source(config, amp, boosts)
     worst = {}  # check name -> its worst record so far, or its error
     for boost in boosts:
-        boosted = _Boosted(src, boost)
+        boosted = _Frame(src, boost)
         for name in config.checks:
             done = worst.get(name)
             if done is not None and (done.errored or name in _ONCE_CHECKS):
@@ -490,41 +494,35 @@ def _parseval(src: _Source) -> float:
     return spectral.parseval_check(src.state, src.spectrum[0])
 
 
-def _doppler_centroid(src: _Source, b: _Boosted):
-    base = src.spectrum[1]
+def _doppler_centroid(a: _Frame, b: _Frame):
+    base = a.spectrum[1]
     if base is None or base == 0.0:
         raise ValueError("doppler_centroid needs a carrier packet with "
                          "nonzero spectral centroid")
-    return xi(src.s, b.boost), cf.spectral_centroid(b.momentum_state) / base, {}
+    return xi(a.config.state_s, b.boost), b.spectrum[1] / base, {}
 
 
-def _box_energy_conservation(src: _Source, b: _Boosted):
-    box_a, kap = src.box, kappa(src.s, b.boost)
-    box_b = cf.WorldlineBox(a1=kap * box_a.a1, a2=kap * box_a.a2,
-                            h=cf.transform_density(box_a.h, src.s, b.boost))
-    return src.box_energy, cf.box_energy(b.packet, box_b, src.config.constants), {}
+def _box_energy_conservation(a: _Frame, b: _Frame):
+    return a.box_energy, b.box_energy, {}
 
 
-def _naive_energy_ratio(src: _Source, b: _Boosted):
-    e_b = cf.total_energy(b.packet, src.config.constants)
-    return xi(src.s, b.boost), e_b / src.total_energy, {}
+def _naive_energy_ratio(a: _Frame, b: _Frame):
+    return xi(a.config.state_s, b.boost), b.total_energy / a.total_energy, {}
 
 
-def _photon_number_conservation(src: _Source, b: _Boosted):
-    return src.photon_number, qb.photon_number(b.state), {}
+def _photon_number_conservation(a: _Frame, b: _Frame):
+    return a.photon_number, b.photon_number, {}
 
 
-def _momentum_path_commutativity(src: _Source, b: _Boosted):
-    via_chi = b.momentum_state
-    via_k = boost_field(src.spectrum[0], b.boost, via_chi.axis, power=0.5)
+def _momentum_path_commutativity(a: _Frame, b: _Frame):
+    via_chi = b.spectrum[0]
+    via_k = boost_field(a.spectrum[0], b.boost, via_chi.axis, power=0.5)
     return 0.0, l2_distance(via_chi, via_k), {}
 
 
-def _kernel_consistency(src: _Source, b: _Boosted):
-    me_a = src.matrix_element
-    me_b = qb.field_matrix_element(b.momentum_state, b.target, src.config.constants)
-    discrepancy, leakage = qb.kernel_consistency_check(me_a, me_b, b.boost)
-    return 0.0, discrepancy, {"leakage": leakage}
+def _kernel_consistency(a: _Frame, b: _Frame):
+    disc, leakage = qb.kernel_consistency_check(a.matrix_element, b.matrix_element, b.boost)
+    return 0.0, disc, {"leakage": leakage}
 
 
 # Run once per scenario; each returns an error whose expected value is 0.
@@ -545,7 +543,7 @@ _BOOST_CHECKS = {
 }
 
 
-def _run_check(name, src: _Source, b: _Boosted, tol) -> CheckRecord:
+def _run_check(name, src: _Source, b: _Frame, tol) -> CheckRecord:
     if name in _ONCE_CHECKS:
         return _record(name, 0.0, _ONCE_CHECKS[name](src), tol)
     expected, measured, extra = _BOOST_CHECKS[name](src, b)
