@@ -1,18 +1,19 @@
 """Config-driven experiment runner.
 
 Reads a declarative scenario config (flat `dotted.key = value` text),
-builds the packet and blip state (one sampled function each), applies
-each boost, runs the named invariant checks, and writes a JSON report
-and the input amplitude, `state_input.csv`, into the scenario's output
-directory.  A custom input's `state_input.csv` is the input file's own
-bytes, copied and then parsed, and its axis must match the config's grid
-(`Axis.matches`); a generated amplitude is written by `write_csv`.  A
-rejected input leaves no `state_input.csv`.
+scales the input amplitude to the unit blip state (one sampled function),
+applies each boost to it, runs the named invariant checks, and writes a
+JSON report and the input amplitude, `state_input.csv`, into the
+scenario's output directory.  A custom input's `state_input.csv` is the
+input file's own bytes, copied and then parsed, and its axis must match
+the config's grid (`Axis.matches`); a generated amplitude is written by
+`write_csv`.  A rejected input leaves no `state_input.csv`.
 
 The source is the identity boost's frame, and each per-boost check
-compares one quantity of two frames, keeping its worst record.  The
-Doppler centroid and Parseval read the state's transform: a centroid and
-a Parseval ratio ignore a positive factor.
+compares one quantity of two frames, keeping its worst record.  Every
+check reads the unit state, never the input amplitude: the packet is the
+state times a positive factor, which a centroid and a Parseval ratio
+ignore, and which the energies drop (see `_Frame`).
 """
 
 from __future__ import annotations
@@ -309,11 +310,15 @@ def _errored(name, tolerance, message) -> CheckRecord:
 
 
 class _Frame:
-    """One boost's packet and blip state, on the source grid stretched about
-    chi = 0 by kappa, where a boost is one multiply (the samples do not
-    move), and the quantities the checks compare, each computed the same way
-    in every frame.  The state and its spectrum are built on first use and
-    kept; the rest is rebuilt for each check that reads it, and so freed.
+    """One boost's blip state, on the source grid stretched about chi = 0
+    by kappa, where a boost is one multiply (the samples do not move), and
+    the quantities the checks compare, each computed the same way in every
+    frame.  The energies are those of the packet scaled to unit photon
+    number: a boosted packet is C * sqrt(xi) * state, with C the source's
+    normalisation, so |E|**2 is C**2 * xi * |state|**2, and C**2, shared by
+    every frame, is dropped.  The state, its spectrum and the scalars are
+    built on first use and kept; the matrix element is rebuilt for each
+    check that reads it, and so freed.
     """
 
     def __init__(self, source: _Source, boost):
@@ -327,10 +332,6 @@ class _Frame:
         grid, kap = self.config.grid, kappa(self.config.state_s, self.boost)
         return Axis(start=grid.start * kap, step=grid.step * kap, count=grid.count)
 
-    @property
-    def packet(self) -> SampledFunction:
-        return boost_field(self.source.packet, self.boost, self.axis, power=1)
-
     @cached_property
     def state(self) -> SampledFunction:
         return boost_field(self.source.state, self.boost, self.axis, power=0.5)
@@ -340,11 +341,11 @@ class _Frame:
         """The state's momentum transform and its spectral centroid."""
         return cf.spectrum(self.state)
 
-    @property
+    @cached_property
     def photon_number(self) -> float:
         return qb.photon_number(self.state)
 
-    @property
+    @cached_property
     def box_energy(self) -> float:
         """The energy in the world-line box of +-6 widths about the center."""
         cfg, kap = self.config, kappa(self.config.state_s, self.boost)
@@ -352,11 +353,12 @@ class _Frame:
         box = cf.WorldlineBox(a1=kap * (cfg.state_center - width),
                               a2=kap * (cfg.state_center + width),
                               h=cf.transform_density(cfg.h_density, cfg.state_s, self.boost))
-        return cf.box_energy(self.packet, box, cfg.constants)
+        return xi(cfg.state_s, self.boost) * cf.box_energy(self.state, box, cfg.constants)
 
-    @property
+    @cached_property
     def total_energy(self) -> float:
-        return cf.total_energy(self.packet, self.config.constants)
+        cfg = self.config
+        return xi(cfg.state_s, self.boost) * cf.total_energy(self.state, cfg.constants)
 
     @property
     def matrix_element(self) -> SampledFunction:
@@ -364,16 +366,15 @@ class _Frame:
 
 
 class _Source(_Frame):
-    """The identity boost's frame (kappa = xi = 1.0 exactly): its packet is
-    the input amplitude, and its state that amplitude scaled to unit photon
-    number.  Each of its quantities is read once per boost, so each is kept.
+    """The identity boost's frame (kappa = xi = 1.0 exactly), whose state is
+    the input amplitude scaled to unit photon number.  Its matrix element is
+    read once per boost, so it is kept too.
     """
 
     def __init__(self, config: ScenarioConfig, amp: SampledFunction, boosts):
         self.config = config
         self.boost = make_boost(0.0)
         self.boosts = boosts
-        self.amp = amp
         # Divided first by a power of two within a factor 2 of the peak, so
         # that |amp|**2 cannot overflow.  That division is exact (short of a
         # subnormal result), so a state whose norm did not overflow before
@@ -384,13 +385,6 @@ class _Source(_Frame):
         nrm = math.sqrt(qb.photon_number(unit))
         self.state = unit.with_values(frozen(unit.values / nrm))
 
-    @property
-    def packet(self) -> SampledFunction:
-        return self.amp
-
-    photon_number = cached_property(_Frame.photon_number.fget)
-    box_energy = cached_property(_Frame.box_energy.fget)
-    total_energy = cached_property(_Frame.total_energy.fget)
     matrix_element = cached_property(_Frame.matrix_element.fget)
 
 
@@ -521,6 +515,8 @@ def _momentum_path_commutativity(a: _Frame, b: _Frame):
 
 
 def _kernel_consistency(a: _Frame, b: _Frame):
+    if not np.any(a.matrix_element.values):
+        raise ValueError("kernel_consistency needs a nonzero field matrix element")
     disc, leakage = qb.kernel_consistency_check(a.matrix_element, b.matrix_element, b.boost)
     return 0.0, disc, {"leakage": leakage}
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from lcfield import grid, scenario, spectral
+from lcfield import quantum_blip as qb
 from lcfield.cli import main
 from lcfield.grid import Axis, FieldConstants, boost_field
 from lcfield.kinematics import make_boost, simulate_signal_exchange
@@ -80,6 +81,16 @@ def write_cfg(tmp_path, checks=", ".join(ALL_CHECKS), out="out", extra=""):
     path = tmp_path / "scn.cfg"
     path.write_text(SMALL_CFG.format(checks=checks, out=out) + extra)
     return path
+
+
+def fail_parseval(monkeypatch):
+    """parseval reading a known error, 1.0, far above its tolerance."""
+    monkeypatch.setitem(scenario._ONCE_CHECKS, "parseval", lambda src: 1.0)
+
+
+# Finite constants whose product eps * c * A overflows.
+ZERO_PREFACTOR = "constants.area = 1e200\nconstants.epsilon = 1e200\n"
+ZERO_MATRIX_ELEMENT = "kernel_consistency needs a nonzero field matrix element"
 
 
 class TestLoadConfig:
@@ -232,9 +243,11 @@ class TestRunScenario:
         # Per frame, the source's included: the state's momentum form (to
         # k), shared by the Doppler centroid, momentum-path and kernel
         # checks (and, at the source, parseval), and its matrix element's
-        # way back (to chi).  No packet is transformed.  Each frame's
-        # spectrum, the transform with its centroid, is taken once.
-        calls, packets, spectra = [], [], []
+        # way back (to chi).  Each frame's spectrum, the transform with its
+        # centroid, is taken once.  Each boosted frame boosts one chi
+        # function, its state, which the energy checks read too: no packet
+        # is boosted (power 1).
+        calls, chi_powers, spectra = [], [], []
         signed_dft, boost = spectral._signed_dft, scenario.boost_field
         spectrum = scenario.cf.spectrum
 
@@ -246,14 +259,13 @@ class TestRunScenario:
             calls.append((values, kw["to_k"]))
             return signed_dft(values, *args, **kw)
 
-        def record_packets(f, *args, **kw):
-            out = boost(f, *args, **kw)
-            if kw["power"] == 1:
-                packets.extend([f.values, out.values])
-            return out
+        def record_boosts(f, *args, **kw):
+            if f.representation is grid.Representation.POSITION_CHI:
+                chi_powers.append(kw["power"])
+            return boost(f, *args, **kw)
 
         monkeypatch.setattr(spectral, "_signed_dft", record_dft)
-        monkeypatch.setattr(scenario, "boost_field", record_packets)
+        monkeypatch.setattr(scenario, "boost_field", record_boosts)
         monkeypatch.setattr(scenario.cf, "spectrum", record_spectrum)
         path = write_cfg(tmp_path, extra="boosts = -0.5, 0.3, 0.6\n")
         assert run_scenario(load_config(path), config_dir=tmp_path).all_passed
@@ -261,15 +273,15 @@ class TestRunScenario:
         assert len(to_k) == 2 * (3 + 1)
         assert to_k.count(True) == 3 + 1 and to_k.count(False) == 3 + 1
         assert len(spectra) == 3 + 1
-        assert packets and not any(np.array_equal(values, packet)
-                                   for values, _ in calls for packet in packets)
+        assert chi_powers == [0.5] * 3
 
     @pytest.mark.parametrize("amplitude", ["1e160", "1e308", "1e-160", "1e-300"])
     def test_extreme_amplitude_gives_unit_state(self, tmp_path, amplitude):
         # |amp|**2 overflows (or underflows) unless the state is scaled
-        # first; the centroid and Parseval read the scaled state.
+        # first; every check, the energies included, reads the scaled state.
         checks = ("photon_number_conservation, momentum_path_commutativity, "
-                  "kernel_consistency, doppler_centroid, parseval")
+                  "kernel_consistency, doppler_centroid, parseval, "
+                  "box_energy_conservation, naive_energy_ratio")
         path = write_cfg(tmp_path, checks=checks, extra=f"state.amplitude = {amplitude}\n")
         extreme = run_scenario(load_config(path), config_dir=tmp_path).checks
         path = write_cfg(tmp_path, checks=checks)
@@ -295,14 +307,15 @@ class TestRunScenario:
             assert rec["errored"] and not rec["pass"]
             assert rec["diagnostics"] == {"error": "input amplitude is zero everywhere"}
 
-    def test_failure_reported_not_raised(self, tmp_path):
-        # An absurdly tight tolerance turns a passing check into a failure.
-        path = write_cfg(tmp_path, checks="parseval",
-                         extra="tolerances.parseval = 1e-30\n")
+    def test_failure_reported_not_raised(self, tmp_path, monkeypatch):
+        # A check whose error exceeds its tolerance fails; it is not errored.
+        fail_parseval(monkeypatch)
+        path = write_cfg(tmp_path, checks="parseval")
         report = run_scenario(load_config(path), config_dir=tmp_path)
         assert not report.all_passed
         rec = report.checks[0]
         assert not rec.passed and not rec.errored
+        assert rec.measured == rec.rel_error == 1.0
 
     def test_errored_check_recorded(self, tmp_path, monkeypatch):
         # A check that raises is recorded as an errored check rather than
@@ -318,6 +331,19 @@ class TestRunScenario:
         assert rec["kernel_consistency"].errored
         assert rec["kernel_consistency"].diagnostics == {"error": "broken check"}
         assert rec["parseval"].passed
+
+    @pytest.mark.parametrize("extra", [
+        pytest.param("state.kind = custom\nstate.file = flat.csv\n", id="constant-input"),
+        pytest.param(ZERO_PREFACTOR, id="overflowing-constants")])
+    def test_zero_matrix_element_errors_kernel_consistency(self, tmp_path, extra):
+        # A constant input's only mode is k = 0, where sqrt|k| is 0; with
+        # eps * A overflowing, the kernel's prefactor is -0.0.  Either way
+        # the matrix element is zero everywhere, and 0 = 0 would pass.
+        (tmp_path / "flat.csv").write_text("coordinate,re,im\n" + "".join(
+            f"{-40.0 + 0.0390625 * i!r},1,0\n" for i in range(2048)))
+        path = write_cfg(tmp_path, checks="kernel_consistency", extra=extra)
+        (rec,) = run_scenario(load_config(path), config_dir=tmp_path).checks
+        assert rec.errored and rec.diagnostics == {"error": ZERO_MATRIX_ELEMENT}
 
     def test_v_polarization_passes(self, tmp_path):
         h = run_scenario(load_config(write_cfg(tmp_path)), config_dir=tmp_path)
@@ -495,44 +521,79 @@ def chi_scaled_by_kappa(field, boost, target, power):
     return boost_field(field, boost, target, power)
 
 
+def k_scaled_by_xi(field, boost, target, power):
+    """boost_field, but with xi in place of kappa as the k channel's scale."""
+    if field.representation is grid.Representation.MOMENTUM_K:
+        boost = make_boost(-boost.beta)
+    return boost_field(field, boost, target, power)
+
+
+def linear_multiplier(k_axis, constants, kernel_multiplier=qb.kernel_multiplier):
+    """The kernel's Fourier multiplier with |k| in place of sqrt|k|."""
+    return kernel_multiplier(k_axis, constants) * np.sqrt(np.abs(k_axis.points()))
+
+
+def momentum_without_step(f, to_momentum=spectral.to_momentum):
+    """spectral.to_momentum without its grid-step factor."""
+    ft = to_momentum(f)
+    return ft.with_values(grid.frozen(ft.values / f.axis.step))
+
+
 class TestNegativeControls:
-    """Each conservation check, the Doppler centroid and signal_exchange
-    fail when the law they check is broken.
+    """Each check fails when the law it checks is broken, for a right-mover
+    at beta and a left-mover at -beta, its mirror image, so that xi = 0.577
+    in both.  At s = -1 and beta = +0.5, xi is 1.73, and the Doppler
+    control, which measures 1/xi, reads a relative error of 1 - 1/xi**2 =
+    0.67, below its 1e3 x margin; at xi = 0.577 it reads 2.0.
     """
 
     CHECKS = ("doppler_centroid, box_energy_conservation, naive_energy_ratio, "
-              "photon_number_conservation")
-    # A check's boost, where it is not beta = 0.5 (whose kappa is not exact):
-    # signal_exchange runs next to beta = -1, where kappa is 1.67e-8.
+              "photon_number_conservation, momentum_path_commutativity, "
+              "kernel_consistency, parseval, reciprocity")
+    # A check's boost, where it is not s * 0.5 (whose kappa is not exact):
+    # signal_exchange reads kappa(+1) alone, whatever s, and runs next to
+    # beta = -1, where kappa is 1.67e-8.
     BETA = {"signal_exchange": -0.9999999999999995}
+    # A multiplier |k|**p scales the boosted matrix element by xi**(p - 1/2)
+    # and keeps its shape, so the |k| control reads |1 - xi**-0.5| = 0.316
+    # at xi = 0.577, 316 x its tolerance: set by the boost, not by p.
+    MARGIN = {"kernel_consistency": 1e2}
 
-    @staticmethod
-    def records(tmp_path, checks=CHECKS, beta=0.5):
+    @classmethod
+    def records(cls, tmp_path, s, checks=CHECKS):
         # The later `boosts` line wins.
-        path = write_cfg(tmp_path, checks=checks, extra=f"boosts = {beta!r}\n")
+        beta = cls.BETA.get(checks, s * 0.5)
+        path = write_cfg(tmp_path, checks=checks,
+                         extra=f"boosts = {beta!r}\nstate.s = {s}\n")
         report = run_scenario(load_config(path), config_dir=tmp_path)
         return {c.name: c for c in report.checks}
 
     def test_control_passes(self, tmp_path):
-        assert all(c.passed for c in self.records(tmp_path).values())
-        beta = self.BETA["signal_exchange"]
-        assert self.records(tmp_path, "signal_exchange", beta)["signal_exchange"].passed
+        for s in (1, -1):
+            assert all(c.passed for c in self.records(tmp_path, s).values()), s
+            assert self.records(tmp_path, s, "signal_exchange")["signal_exchange"].passed, s
 
     @pytest.mark.parametrize("check, module, attr, fake", [
         ("doppler_centroid", scenario, "boost_field", chi_scaled_by_kappa),
         ("photon_number_conservation", scenario, "boost_field", with_power(1, 0.5)),
-        ("naive_energy_ratio", scenario, "boost_field", with_power(0.5, 1)),
+        ("naive_energy_ratio", scenario, "boost_field", with_power(1, 0.5)),
         ("box_energy_conservation", scenario.cf, "transform_density",
          lambda h_A, s, boost: h_A),
         # The observer receding at beta taken as approaching: xi for kappa.
         ("signal_exchange", scenario, "simulate_signal_exchange",
          lambda boost, **kw: simulate_signal_exchange(make_boost(-boost.beta), **kw)),
+        ("momentum_path_commutativity", scenario, "boost_field", k_scaled_by_xi),
+        ("kernel_consistency", qb, "kernel_multiplier", linear_multiplier),
+        ("parseval", spectral, "to_momentum", momentum_without_step),
+        ("reciprocity", scenario, "kappa",
+         lambda s, boost: boost.gamma * (1.0 + s * boost.beta / 2)),
     ])
     def test_broken_law_fails(self, tmp_path, monkeypatch, check, module, attr, fake):
         monkeypatch.setattr(module, attr, fake)
-        rec = self.records(tmp_path, check, self.BETA.get(check, 0.5))[check]
-        assert not rec.passed and not rec.errored
-        assert rec.rel_error > 1e3 * rec.tolerance
+        for s in (1, -1):
+            rec = self.records(tmp_path, s, check)[check]
+            assert not rec.passed and not rec.errored, s
+            assert rec.rel_error > self.MARGIN.get(check, 1e3) * rec.tolerance, s
 
 
 def test_transform_checks_exact_at_2_18(tmp_path):
@@ -672,9 +733,9 @@ class TestCli:
         assert "PASS" in out
         assert "parseval" in out and "reciprocity" in out
 
-    def test_run_failure_exit_one(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, checks="parseval",
-                         extra="tolerances.parseval = 1e-30\n")
+    def test_run_failure_exit_one(self, tmp_path, capsys, monkeypatch):
+        fail_parseval(monkeypatch)
+        path = write_cfg(tmp_path, checks="parseval")
         assert main(["run", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -835,17 +896,16 @@ class TestCli:
         assert (tmp_path / "out" / "report.json").is_file()
 
     def test_check_all_keeps_the_first_report_in_a_shared_output_dir(self, tmp_path,
-                                                                     capsys):
+                                                                     capsys, monkeypatch):
         # b.cfg names a.cfg's output directory by another path: run, it
         # would overwrite the report of a.cfg's failure.  A symlink loop is
         # no output directory either.
+        fail_parseval(monkeypatch)
         (tmp_path / "loop").symlink_to("loop")
-        for name, checks, out, extra in [
-                ("a", "parseval", "out", "tolerances.parseval = 1e-30\n"),
-                ("b", "reciprocity", "./sub/../out", ""),
-                ("c", "reciprocity", "loop/sub", "")]:
-            write_cfg(tmp_path, checks=checks, out=out, extra=extra).rename(
-                tmp_path / f"{name}.cfg")
+        for name, checks, out in [("a", "parseval", "out"),
+                                  ("b", "reciprocity", "./sub/../out"),
+                                  ("c", "reciprocity", "loop/sub")]:
+            write_cfg(tmp_path, checks=checks, out=out).rename(tmp_path / f"{name}.cfg")
         assert main(["check-all", str(tmp_path)]) == 1
         rows = [line.split(None, 2) for line in capsys.readouterr().out.splitlines()]
         assert rows[0][:2] == ["a", "FAIL"]
@@ -883,14 +943,17 @@ class TestCli:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_results_errored_and_reported(self, tmp_path, capsys):
-        # A finite amplitude whose energy overflows: NaN and inf results.
-        path = write_cfg(tmp_path, extra="state.amplitude = 1e160\n")
+        # Finite constants whose product eps * A overflows: the energies are
+        # inf (and inf - inf is NaN), and the kernel's prefactor
+        # -sqrt(hbar / (4 pi eps c A)) is -0.0.
+        path = write_cfg(tmp_path, extra=ZERO_PREFACTOR)
         assert main(["run", str(path)]) == 1
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         errored = {c["name"]: c["diagnostics"] for c in payload["checks"] if c["errored"]}
-        assert errored == dict.fromkeys(
-            ["box_energy_conservation", "naive_energy_ratio"],
-            {"error": "non-finite result"})
+        assert errored == {
+            "box_energy_conservation": {"error": "non-finite result"},
+            "naive_energy_ratio": {"error": "non-finite result"},
+            "kernel_consistency": {"error": ZERO_MATRIX_ELEMENT}}
 
     def test_empty_checks_exit_two(self, tmp_path, capsys):
         path = write_cfg(tmp_path, checks="")
@@ -915,9 +978,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "scn" in out and "second" in out
 
-    def test_check_all_propagates_failure(self, tmp_path, capsys):
-        write_cfg(tmp_path, checks="parseval",
-                  extra="tolerances.parseval = 1e-30\n")
+    def test_check_all_propagates_failure(self, tmp_path, capsys, monkeypatch):
+        fail_parseval(monkeypatch)
+        write_cfg(tmp_path, checks="parseval")
         assert main(["check-all", str(tmp_path)]) == 1
 
     def test_check_all_empty_dir(self, tmp_path, capsys):
