@@ -178,6 +178,18 @@ def l2_distance(f: SampledFunction, g: SampledFunction) -> float:
     return float(np.sqrt(f.axis.step) * np.linalg.norm(f.values - g.values))
 
 
+def _l2_distance_consuming(f: SampledFunction, fresh: SampledFunction) -> float:
+    """l2_distance(f, fresh), with f - fresh formed in `fresh`'s own samples,
+    which are overwritten: `fresh` must be a function the caller built and
+    drops.  No n-long array is allocated.
+    """
+    _check_compatible(f, fresh)
+    diff = fresh.values
+    diff.flags.writeable = True
+    np.subtract(f.values, diff, out=diff)
+    return float(np.sqrt(f.axis.step) * np.linalg.norm(diff))
+
+
 def _turns(r: float, q: np.ndarray) -> np.ndarray:
     """r*q mod 1, in [-1/2, 1/2], for a float r and integers |q| < 2**40,
     to an eps or two however large r*q is (exact phase reduction: Bailey &

@@ -21,11 +21,20 @@ __all__ = ["to_momentum", "to_position", "parseval_check"]
 def _apply_linear_phase(src: np.ndarray, out: np.ndarray, r: float) -> None:
     """out = src * exp(2*pi*i*r*q) for q = -n/2 ... n/2 - 1; `out` may be `src`.
 
-    q = -n/2 + width*h + l makes the phase the outer product of a coarse
-    table (over rows h) and a fine one (over l): about 2*sqrt(n) complex
-    exps, multiplied out a block of rows (about 2**15 products) at a time.
+    When 2*r is an integer (a grid with start/step = -n/2 has r = -+1/2),
+    the phase is exactly 1, or (-1)**q on a half turn: `src` is copied,
+    and negated where q is odd.  Otherwise q = -n/2 + width*h + l makes the
+    phase the outer product of a coarse table (over rows h) and a fine one
+    (over l): about 2*sqrt(n) complex exps, multiplied out a block of rows
+    (about 2**15 products) at a time.
     """
     n = len(out)
+    if (2 * r).is_integer():
+        if out is not src:
+            np.copyto(out, src)
+        if r % 1:
+            out[(n // 2 + 1) % 2::2] *= -1  # from the first index whose q is odd
+        return
     width = 1 << (n.bit_length() // 2)
     coarse = _cis(_turns(r, np.arange(-(n // 2), n // 2, width)))
     fine = _cis(_turns(r, np.arange(width)))

@@ -191,16 +191,51 @@ class TestSignedDft:
 
     # Row widths 2, 32, 32, 64, 256, 256 over 3, 25, 32 (the last row
     # short), 64, 256 and 257 rows (the last row short, past two full
-    # blocks of rows).
+    # blocks of rows).  An offset of -n/2 is a half turn, which
+    # test_half_turn_is_an_exact_sign_flip covers.
     @pytest.mark.parametrize("n", [6, 800, 1000, 2**12, 2**16, 2**16 + 2])
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("to_k", [True, False])
     def test_bit_identical_to_outer_product_phase(self, n, sign, to_k):
         rng = np.random.default_rng(n)
         values = rng.normal(size=n) + 1j * rng.normal(size=n)
-        for offset in (-(n // 2), -12.3456789 / 0.3, 7.7e5 / 0.3):
+        for offset in (-12.3456789 / 0.3, 7.7e5 / 0.3):
             got = _signed_dft(values, offset, sign, to_k)
             want = self.outer_product_dft(values, offset, sign, to_k)
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def sign_flip_dft(values, offset, sign, to_k):
+        """_signed_dft for an integer 2*r = 2*sign*offset/n, whose linear
+        phase exp(2*pi*i*r*q) is exactly (-1)**(2*r*q): a sign flip where
+        2*r*q is odd.
+        """
+        n = len(values)
+        chi_flip = np.arange(n) % 2 == 1
+        k_flip = (np.arange(n) - n // 2) * (2 * sign * offset // n) % 2 == 1
+        out = np.array(values, dtype=complex)
+        out[chi_flip if to_k else k_flip] *= -1
+        if sign == -1:
+            np.fft.fft(out, out=out)
+        else:
+            np.fft.ifft(out, norm="forward", out=out)
+        out[k_flip if to_k else chi_flip] *= -1
+        return out
+
+    # Every grid with start/step = -n/2 (each shipped and benchmark grid,
+    # kappa-stretched ones too) has r = -+1/2.  At n = 6 and 2**16 + 2,
+    # n = 2 (mod 4), the indices whose q = m - n/2 is odd are the even ones.
+    # The coarse and fine tables would carry cis(1/2)'s 1.2e-16 imaginary
+    # part into the result.
+    @pytest.mark.parametrize("n", [6, 1000, 2**12, 2**16 + 2])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("to_k", [True, False])
+    def test_half_turn_is_an_exact_sign_flip(self, n, sign, to_k):
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for offset in (-(n // 2), 0, n // 2):
+            got = _signed_dft(values, offset, sign, to_k)
+            want = self.sign_flip_dft(values, offset, sign, to_k)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("r", [0.5, -0.643004109375, 1 / 3, -2.0 ** -40 / 3, 123456.789])
